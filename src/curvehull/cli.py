@@ -340,9 +340,8 @@ def cmd_diagnose(args) -> int:
     n = samples.n
     stride = max(1, n // 64)
     grid = np.arange(0, n, stride)
-    vmat = tetra_volume_matrix(samples)
-    v1 = vmat[np.ix_(grid, grid)]
-    v2 = vmat[np.ix_((grid + 1) % n, grid)]
+    v1 = tetra_volume_matrix(samples, rows=grid, cols=grid)
+    v2 = tetra_volume_matrix(samples, rows=(grid + 1) % n, cols=grid)
     floor = quadrature.DEGENERACY_RTOL * samples.total_length**3
     off_diag = grid[:, None] != grid[None, :]
     degen = ((np.abs(v1) <= floor) | (np.abs(v2) <= floor)) & off_diag

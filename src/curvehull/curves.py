@@ -411,13 +411,9 @@ def is_convex_curve(curve: SampledCurve, hull=None) -> ConvexityResult:
     pts = curve.points
     n = len(pts)
     if hull is not None:
-        vertex_idx = set(int(v) for v in hull.vertex_indices)
-        buried = [
-            i
-            for i in range(n)
-            if i not in vertex_idx
-            and _hull.signed_distance(hull, pts[i]) < -hull.eps
-        ]
+        rest = np.setdiff1d(np.arange(n), hull.vertex_indices)
+        depth = _hull.signed_distance(hull, pts[rest])
+        buried = [int(i) for i in rest[depth < -hull.eps]]
         return ConvexityResult(is_convex=not buried, non_extreme=buried, n=n)
 
     flat = planarity_check(curve)

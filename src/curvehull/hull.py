@@ -101,9 +101,10 @@ def build_hull(points) -> HullMesh:
 
 def _validate(mesh: HullMesh) -> None:
     f = mesh.facets
-    e = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    e = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]).astype(np.int64)
     e.sort(axis=1)
-    _, counts = np.unique(e, axis=0, return_counts=True)
+    # one int64 key per undirected edge: a 1-d unique instead of a row-wise one
+    _, counts = np.unique(e[:, 0] * len(mesh.points) + e[:, 1], return_counts=True)
     if np.any(counts != 2):
         raise CurveHullError("hull mesh is not watertight (edge shared != 2 times)")
     n_edges = len(counts)

@@ -64,20 +64,38 @@ def signed_tetra_volume(curve: SampledCurve, i: int, j: int, chord_form: bool = 
     return triple_product(ri1 - ri, rj - ri, tail) / 6.0
 
 
-def tetra_volume_matrix(curve: SampledCurve) -> np.ndarray:
-    """All signed tetra volumes V_ij as an (n, n) array (zero diagonal).
+def _tetra_factors(points: np.ndarray) -> tuple:
+    """Rank-6 factors A (n, 6) and B^T (6, n) with 6 V = A B^T.
 
-    Expands the determinant so the whole matrix is three rank-1 updates:
-    6 V_ij = E_i . (r_j x E_j) - (E_i x r_i) . E_j with E the edge vectors.
+    Expanding the determinant with E the edge vectors gives
+    6 V_ij = E_i . (r_j x E_j) - (E_i x r_i) . E_j, so with C = r x E
+    (and E x r = -C exactly) A = [E, C] and B = [C, E].
     """
-    r = curve.points
-    e = np.roll(r, -1, axis=0) - r
-    c = np.cross(r, e)
-    a = np.cross(e, r)
-    m = np.zeros((len(r), len(r)))
-    for k in range(3):
-        m += np.outer(e[:, k], c[:, k]) - np.outer(a[:, k], e[:, k])
-    return m / 6.0
+    e = np.roll(points, -1, axis=0) - points
+    c = np.cross(points, e)
+    return np.hstack([e, c]), np.vstack([c.T, e.T])
+
+
+def tetra_volume_matrix(
+    curve: SampledCurve,
+    rows: Optional[np.ndarray] = None,
+    cols: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Signed tetra volumes V_ij for i in rows and j in cols (default: all).
+
+    Uses the rank-6 factorisation 6 V = A B^T, A = [E, r x E] and
+    B = [r x E, E] with E the edge vectors, the same factors the double sum
+    uses: the result is A[rows] @ B^T[:, cols] / 6. V is symmetric, because
+    swapping the two edges is an even permutation of the tetra's four
+    points, and its diagonal is zero up to rounding. Index arrays read a
+    sub-grid without building the n x n matrix.
+    """
+    a, bt = _tetra_factors(curve.points)
+    if rows is not None:
+        a = a[np.asarray(rows)]
+    if cols is not None:
+        bt = bt[:, np.asarray(cols)]
+    return (a @ bt) / 6.0
 
 
 def _tree_sum(parts) -> float:
@@ -94,32 +112,47 @@ def _tree_sum(parts) -> float:
 
 
 def _abs_double_sum(points: np.ndarray, threads: int = 1) -> float:
-    """sum over all (i, j) of |V_ij|, in fixed row blocks.
+    """sum over all ordered pairs (i, j) of |V_ij|, in O(n) memory.
 
-    The block layout and the pairwise combination tree depend only on n,
-    never on the thread count, so results are bit-identical for any value
-    of threads.
+    With the factors of tetra_volume_matrix, 6 V = A B^T. V_ij = V_ji
+    (swapping the two edges is an even permutation of the tetra's four
+    points) and V_ii = 0, so the sum is twice the sum over i < j. Row block
+    s:t of that upper triangle is one product A[s:t] @ B^T[:, s:], written
+    into a _CHUNK_ROWS x n buffer that each worker thread allocates once and
+    made absolute in place; the block's diagonal and lower triangle are
+    zeroed before it is summed.
+
+    The block layout and the pairwise combination tree of _tree_sum depend
+    only on n, so the bits do not depend on threads or on the BLAS thread
+    count.
     """
     n = len(points)
-    e = np.roll(points, -1, axis=0) - points
-    c = np.cross(points, e)
-    a = np.cross(e, points)
-    starts = range(0, n, _CHUNK_ROWS)
+    a, bt = _tetra_factors(points)
+    starts = list(range(0, n, _CHUNK_ROWS))
+    lower = np.tri(_CHUNK_ROWS, dtype=bool)  # diagonal and below
 
-    def block(s: int) -> float:
-        t = min(s + _CHUNK_ROWS, n)
-        g = np.zeros((t - s, n))
-        for k in range(3):
-            g += e[s:t, k, None] * c[None, :, k]
-            g -= a[s:t, k, None] * e[None, :, k]
-        return float(np.abs(g).sum())
+    def run(mine: list) -> list:
+        buf = np.empty(min(_CHUNK_ROWS, n) * n)
+        parts = []
+        for s in mine:
+            t = min(s + _CHUNK_ROWS, n)
+            # a contiguous view, so that matmul writes into buf without a temporary
+            blk = buf[: (t - s) * (n - s)].reshape(t - s, n - s)
+            np.matmul(a[s:t], bt[:, s:], out=blk)
+            np.abs(blk, out=blk)
+            np.copyto(blk[:, : t - s], 0.0, where=lower[: t - s, : t - s])
+            parts.append(float(blk.sum()))
+        return parts
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(block, starts))
+    workers = max(1, min(threads, len(starts)))
+    if workers > 1:
+        # interleaved block sets even out the shrinking upper-triangle rows
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(run, [starts[w::workers] for w in range(workers)]))
+        parts = [done[k % workers][k // workers] for k in range(len(starts))]
     else:
-        parts = [block(s) for s in starts]
-    return _tree_sum(parts) / 6.0
+        parts = run(starts)
+    return 2.0 * _tree_sum(parts) / 6.0
 
 
 @dataclass(eq=False)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvehull
 from curvehull.cli import load_polyline, main
 
 
@@ -301,6 +304,23 @@ def test_console_entry_point_runs():
     rep = json.loads(proc.stdout)
     assert rep["command"] == "volume"
     assert "timing_ms" in proc.stderr
+
+
+def test_volume_bits_ignore_blas_and_worker_threads():
+    src = str(Path(curvehull.__file__).resolve().parents[1])
+    outs = set()
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "curvehull.cli", "volume", "saddle",
+                 "--n", "1000", "--threads", threads],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -7,6 +7,7 @@ from curvehull import (
     DegenerateCurveError,
     NotClosedError,
     SampledCurve,
+    build_hull,
     count_vertices,
     discrete_frenet_profile,
     frenet_profile,
@@ -15,6 +16,7 @@ from curvehull import (
     piecewise_linear,
     planarity_check,
     sample_uniform,
+    signed_distance,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -218,6 +220,21 @@ def test_convexity_trefoil():
     res = is_convex_curve(sc)
     assert not res.is_convex
     assert len(res.non_extreme) > 0
+
+
+def test_convexity_non_extreme_matches_per_point_loop():
+    sc = sample_uniform(gallery.get("trefoil").curve, 500)
+    mesh = build_hull(sc.points)
+    vertices = set(int(v) for v in mesh.vertex_indices)
+    expected = [
+        i
+        for i in range(sc.n)
+        if i not in vertices and signed_distance(mesh, sc.points[i]) < -mesh.eps
+    ]
+    res = is_convex_curve(sc, hull=mesh)
+    assert expected
+    assert res.non_extreme == expected
+    assert all(type(i) is int for i in res.non_extreme)
 
 
 def test_convexity_planar_circle():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import random_rotation
@@ -23,6 +25,7 @@ from curvehull import (
     tetra_volume_matrix,
     triple_product,
 )
+from curvehull.quadrature import _abs_double_sum
 
 finite_vec = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=3, max_size=3
@@ -76,6 +79,27 @@ def test_matrix_matches_per_pair_values():
                 signed_tetra_volume(sc, i, j), abs=1e-15
             )
     assert np.allclose(np.diag(mat), 0.0)
+
+
+@pytest.mark.parametrize("name", ["saddle", "baseball"])
+@pytest.mark.parametrize("n", [5, 37, 128, 129, 257, 301])
+def test_abs_double_sum_matches_per_pair_sum(name, n):
+    # n below one 128-row block, whole blocks, a partial last block, odd n
+    sc = sample_uniform(gallery.get(name).curve, n)
+    cols = np.arange(n)
+    terms = [np.abs(signed_tetra_volume(sc, i, cols)) for i in range(n)]
+    reference = math.fsum(np.concatenate(terms))
+    assert _abs_double_sum(sc.points) == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+def test_matrix_sub_grid_matches_full_matrix():
+    sc = sample_uniform(gallery.get("baseball").curve, 301)
+    full = tetra_volume_matrix(sc)
+    rows = np.array([0, 7, 150, 300])
+    cols = np.array([1, 2, 299])
+    sub = tetra_volume_matrix(sc, rows=rows, cols=cols)
+    assert sub.shape == (4, 3)
+    assert np.allclose(sub, full[np.ix_(rows, cols)], rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------- volume formula
