@@ -32,7 +32,14 @@ from .curves import (
     planarity_check,
     sample_uniform,
 )
-from .errors import CurveHullError, GateError, NonPlanarCurveError, PlanarCurveError
+from .errors import (
+    CurveHullError,
+    GateError,
+    NonConvexCurveError,
+    NonPlanarCurveError,
+    PlanarCurveError,
+    VertexCountError,
+)
 from .quadrature import hull_volume, planar_area_integral, tetra_volume_matrix
 
 ORACLE_SAMPLES = 200_000   # hull oracle resolution for --verify and converge
@@ -155,8 +162,6 @@ def _gate_vertices(resolved: _ResolvedCurve, expected: int):
             suggestion="area",
         )
     if report.vertex_count != expected:
-        from .errors import VertexCountError
-
         raise VertexCountError(
             f"torsion changes sign {report.vertex_count} times, expected "
             f"{expected}; rerun with --force to compute anyway",
@@ -169,8 +174,6 @@ def _gate_vertices(resolved: _ResolvedCurve, expected: int):
 def _gate_convexity(samples: SampledCurve):
     conv = is_convex_curve(samples)
     if not conv.is_convex:
-        from .errors import NonConvexCurveError
-
         shown = conv.non_extreme[:10]
         raise NonConvexCurveError(
             f"{len(conv.non_extreme)} of {conv.n} samples are not extreme points "
@@ -503,7 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--probes", type=int, default=100, help="random interior probes")
     p.add_argument("--seed", type=int, default=42, help="probe RNG seed (PCG64)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for interface symmetry with volume and converge; unused, "
+        "it does not change the report",
+    )
     p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.set_defaults(func=cmd_diagnose)
 

@@ -36,7 +36,8 @@ from .errors import (
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
 CHORD_TOL_FACTOR = 2.0    # chord hit tolerance delta = factor * L / n
 CLUSTER_GAP = 3           # max cyclic index gap within one chord cluster
-_CHUNK_ROWS = 128         # row block size for the double sum
+_CHUNK_ROWS = 128         # row block size for the double sum and chord search
+_SCREEN_SLACK = 1e-9      # rounding allowance of the angular chord screen
 
 
 def triple_product(a, b, c):
@@ -260,6 +261,84 @@ def classify_adjacent_pair(curve: SampledCurve, i: int, j: int) -> PairClassific
 # Covering multiplicity by chord counting
 
 
+def _near_chords(points: np.ndarray, p: np.ndarray, delta: float) -> tuple:
+    """Index arrays (i, j), i < j, of the chords within delta of p.
+
+    An exact two-stage search in O(_CHUNK_ROWS * n) extra memory. With
+    q_k = r_k - p, u_k = q_k / |q_k| and d_min = min |q_k| > delta, a chord
+    passing within delta of p has its foot strictly inside the segment, and
+    the triangle (p, r_i, r_j) then has angles asin(h / |q_i|) and
+    asin(h / |q_j|) at r_i and r_j (h <= delta the distance), so the angle
+    between q_i and -q_j is at most 2 asin(delta / d_min), i.e.
+    u_i . u_j <= 2 (delta / d_min)^2 - 1. The screen keeps the upper-triangle
+    pairs meeting that bound (plus _SCREEN_SLACK for rounding), one row
+    block at a time in a reused buffer. If d_min <= delta every pair is a
+    candidate. The candidates then take the point-to-segment distance test
+    op for op as a full scan would, so the product that screens them only
+    decides which pairs are tested: the hits do not depend on BLAS.
+    """
+    n = len(points)
+    q = points - p
+    d = np.linalg.norm(q, axis=1)
+    d_min = float(d.min())
+    screen = d_min > delta
+    if screen:
+        ut = (q / d[:, None]).T.copy()  # 3 x n, so column slices feed matmul
+        bound = 2.0 * (delta / d_min) ** 2 - 1.0 + _SCREEN_SLACK
+    else:
+        bound = 0.0  # every block is filled with -1 below: all pairs pass
+    lower = np.tri(_CHUNK_ROWS, dtype=bool)  # diagonal and below
+    buf = np.empty(min(_CHUNK_ROWS, n) * n)
+    hits_i, hits_j = [], []
+    for s in range(0, n, _CHUNK_ROWS):
+        t = min(s + _CHUNK_ROWS, n)
+        blk = buf[: (t - s) * (n - s)].reshape(t - s, n - s)
+        if screen:
+            np.matmul(ut[:, s:t].T, ut[:, s:], out=blk)
+        else:
+            blk.fill(-1.0)
+        np.copyto(blk[:, : t - s], np.inf, where=lower[: t - s, : t - s])
+        # 1-d nonzero: on a 2-d mask numpy's nonzero is about 10x slower
+        rows, cols = np.divmod(np.flatnonzero(blk <= bound), n - s)
+        iu, ju = rows + s, cols + s
+        a = points[iu]
+        ab = points[ju] - a
+        ap = p - a
+        denom = np.einsum("ij,ij->i", ab, ab)
+        t_foot = np.clip(np.einsum("ij,ij->i", ap, ab) / denom, 0.0, 1.0)
+        dist = np.linalg.norm(ap - t_foot[:, None] * ab, axis=1)
+        near = dist <= delta
+        hits_i.append(iu[near])
+        hits_j.append(ju[near])
+    return np.concatenate(hits_i), np.concatenate(hits_j)
+
+
+def _count_chord_clusters(i: np.ndarray, j: np.ndarray, n: int) -> int:
+    """Connected components of the ordered hits (i, j) and (j, i).
+
+    Two hits are linked when both their cyclic index offsets are at most
+    CLUSTER_GAP. Each hit looks up its neighbours at the offsets after
+    (0, 0) in lexicographic order (the other half give the same links from
+    the other end) by binary search in the sorted keys i * n + j, so the
+    work is O(hits log hits).
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    span = range(-CLUSTER_GAP, CLUSTER_GAP + 1)
+    di, dj = np.array([(a, b) for a in span for b in span if (a, b) > (0, 0)]).T
+    keys = np.sort(np.concatenate([i * n + j, j * n + i]))
+    ci, cj = np.divmod(keys, n)
+    nb = ((ci[:, None] + di) % n) * n + (cj[:, None] + dj) % n
+    pos = np.minimum(np.searchsorted(keys, nb), len(keys) - 1)
+    src, col = np.nonzero(keys[pos] == nb)
+    graph = coo_matrix(
+        (np.ones(len(src), dtype=np.int8), (src, pos[src, col])),
+        shape=(len(keys), len(keys)),
+    )
+    return int(connected_components(graph, directed=False)[0])
+
+
 def estimate_covering_multiplicity(
     curve: SampledCurve,
     point,
@@ -273,7 +352,9 @@ def estimate_covering_multiplicity(
     single-links pairs whose index offsets are both at most CLUSTER_GAP
     (cyclically). The number of clusters estimates the covering multiplicity:
     each geometric chord through the point is hit in both orders, so a
-    doubly covered point yields 4.
+    doubly covered point yields 4. The chord search is exact (an angular
+    screen, then the distance test on the candidates) and needs O(n) extra
+    memory; see _near_chords.
 
     The probe must lie strictly inside the hull; pass a prebuilt mesh to
     avoid reconstructing it per probe. Raises OutsideHullError otherwise and
@@ -293,44 +374,12 @@ def estimate_covering_multiplicity(
     if delta is None:
         delta = CHORD_TOL_FACTOR * curve.total_length / n
 
-    iu, ju = np.triu_indices(n, k=1)
-    a = curve.points[iu]
-    ab = curve.points[ju] - a
-    ap = p - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(np.einsum("ij,ij->i", ap, ab) / denom, 0.0, 1.0)
-    dist = np.linalg.norm(ap - t[:, None] * ab, axis=1)
-    near = dist <= delta
-    hits = [(int(i), int(j)) for i, j in zip(iu[near], ju[near])]
-    hits += [(j, i) for i, j in hits]
-    if not hits:
+    i, j = _near_chords(curve.points, p, delta)
+    if not len(i):
         raise ChordSearchError(
             f"no chord within {delta:.3g} of the probe; sampling too coarse"
         )
-
-    hit_set = set(hits)
-    seen = set()
-    clusters = 0
-    offsets = [
-        (di, dj)
-        for di in range(-CLUSTER_GAP, CLUSTER_GAP + 1)
-        for dj in range(-CLUSTER_GAP, CLUSTER_GAP + 1)
-        if (di, dj) != (0, 0)
-    ]
-    for start in sorted(hit_set):
-        if start in seen:
-            continue
-        clusters += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            ci, cj = stack.pop()
-            for di, dj in offsets:
-                nb = ((ci + di) % n, (cj + dj) % n)
-                if nb in hit_set and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-    return clusters
+    return _count_chord_clusters(i, j, n)
 
 
 # ----------------------------------------------------------------------------

@@ -306,6 +306,18 @@ def test_console_entry_point_runs():
     assert "timing_ms" in proc.stderr
 
 
+def test_python_dash_m_package_runs():
+    src = str(Path(curvehull.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvehull", "volume", "saddle", "--n", "200"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "volume"
+
+
 def test_volume_bits_ignore_blas_and_worker_threads():
     src = str(Path(curvehull.__file__).resolve().parents[1])
     outs = set()
@@ -321,6 +333,25 @@ def test_volume_bits_ignore_blas_and_worker_threads():
             assert proc.returncode == 0, proc.stderr
             outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+def test_diagnose_bits_ignore_blas_and_worker_threads():
+    # the chord screen runs through BLAS, but it only picks the candidates
+    src = str(Path(curvehull.__file__).resolve().parents[1])
+    outs = set()
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "curvehull.cli", "diagnose", "saddle",
+                 "--n", "600", "--probes", "40", "--threads", threads],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["multiplicity_histogram"] == {"4": 40}
 
 
 def test_repeated_runs_are_byte_identical(capsys):

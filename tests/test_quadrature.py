@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from conftest import random_rotation
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvehull import (
@@ -18,6 +19,7 @@ from curvehull import (
     estimate_covering_multiplicity,
     gallery,
     hull_volume,
+    is_convex_curve,
     planar_area_integral,
     sample_uniform,
     signed_distance,
@@ -25,7 +27,12 @@ from curvehull import (
     tetra_volume_matrix,
     triple_product,
 )
-from curvehull.quadrature import _abs_double_sum
+from curvehull.quadrature import (
+    CHORD_TOL_FACTOR,
+    CLUSTER_GAP,
+    _abs_double_sum,
+    _near_chords,
+)
 
 finite_vec = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=3, max_size=3
@@ -231,6 +238,111 @@ def test_multiplicity_reports_failed_chord_search(saddle_2000):
     with pytest.raises(ChordSearchError):
         estimate_covering_multiplicity(
             saddle_2000, (0, 0, 0), mesh=mesh, delta=1e-15
+        )
+
+
+def full_scan_hits(points, p, delta):
+    """Reference: every chord i < j within delta of p, by one full scan."""
+    iu, ju = np.triu_indices(len(points), k=1)
+    a = points[iu]
+    ab = points[ju] - a
+    ap = p - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    t = np.clip(np.einsum("ij,ij->i", ap, ab) / denom, 0.0, 1.0)
+    dist = np.linalg.norm(ap - t[:, None] * ab, axis=1)
+    near = dist <= delta
+    return {(int(i), int(j)) for i, j in zip(iu[near], ju[near])}
+
+
+def bfs_cluster_count(hits, n):
+    """Reference: clusters of the ordered hits by a depth-first flood fill."""
+    hit_set = set(hits) | {(j, i) for i, j in hits}
+    offsets = [
+        (di, dj)
+        for di in range(-CLUSTER_GAP, CLUSTER_GAP + 1)
+        for dj in range(-CLUSTER_GAP, CLUSTER_GAP + 1)
+        if (di, dj) != (0, 0)
+    ]
+    seen, clusters = set(), 0
+    for start in sorted(hit_set):
+        if start in seen:
+            continue
+        clusters += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            ci, cj = stack.pop()
+            for di, dj in offsets:
+                nb = ((ci + di) % n, (cj + dj) % n)
+                if nb in hit_set and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    return clusters
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_curve(name, n):
+    sc = sample_uniform(gallery.get(name).curve, n)
+    return sc, build_hull(sc.points)
+
+
+@given(
+    name=st.sampled_from(["saddle", "baseball", "wobble:k=3"]),
+    n=st.integers(min_value=64, max_value=700),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    mode=st.sampled_from(["default", "default", "near_sample", "wide", "tiny"]),
+)
+@example(name="saddle", n=700, seed=0, mode="origin")
+@example(name="saddle", n=64, seed=1, mode="near_sample")
+@settings(max_examples=60, deadline=None)
+def test_chord_search_matches_full_scan(name, n, seed, mode):
+    # The hits must be the very pairs a full scan finds, not only give the
+    # same cluster count; near_sample and wide force the exhaustive branch
+    # (a sample within delta of the probe), tiny leaves no hit at all.
+    sc, mesh = _probe_curve(name, n)
+    rng = np.random.default_rng(seed)
+    delta = CHORD_TOL_FACTOR * sc.total_length / n
+    if mode == "origin":
+        p = np.zeros(3)  # chords through it end at the samples nearest it
+    elif mode == "near_sample":
+        k = rng.integers(n)
+        inward = sc.points.mean(axis=0) - sc.points[k]
+        p = sc.points[k] + 0.5 * delta * inward / np.linalg.norm(inward)
+    else:
+        p = rng.dirichlet(np.ones(4)) @ sc.points[rng.choice(n, 4, replace=False)]
+    if signed_distance(mesh, p) >= -mesh.eps:
+        return  # the probe landed on the hull boundary
+    if mode == "wide":
+        delta = float(np.linalg.norm(sc.points - p, axis=1).min())
+    elif mode == "tiny":
+        delta = 1e-15
+    i, j = _near_chords(sc.points, p, delta)
+    expected = full_scan_hits(sc.points, p, delta)
+    assert set(zip(i.tolist(), j.tolist())) == expected
+    assert len(i) == len(expected)
+    if not expected:
+        with pytest.raises(ChordSearchError):
+            estimate_covering_multiplicity(sc, p, mesh=mesh, delta=delta)
+    else:
+        m = estimate_covering_multiplicity(sc, p, mesh=mesh, delta=delta)
+        assert m == bfs_cluster_count(expected, n)
+
+
+def test_chord_search_with_probe_on_a_buried_sample():
+    # a knotted loop buries samples inside its hull; a probe on one has
+    # d_min = 0, where no unit direction exists and every pair is tested
+    sc = sample_uniform(gallery.get("trefoil").curve, 300)
+    mesh = build_hull(sc.points)
+    delta = CHORD_TOL_FACTOR * sc.total_length / sc.n
+    buried = is_convex_curve(sc).non_extreme
+    assert len(buried) > 0
+    for k in buried[:: max(1, len(buried) // 3)]:
+        p = sc.points[k]
+        i, j = _near_chords(sc.points, p, delta)
+        expected = full_scan_hits(sc.points, p, delta)
+        assert set(zip(i.tolist(), j.tolist())) == expected
+        assert estimate_covering_multiplicity(sc, p, mesh=mesh) == bfs_cluster_count(
+            expected, sc.n
         )
 
 
