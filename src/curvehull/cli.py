@@ -30,16 +30,12 @@ from .curves import (
     is_convex_curve,
     piecewise_linear,
     planarity_check,
+    require_convex,
+    require_nonplanar,
+    require_vertex_count,
     sample_uniform,
 )
-from .errors import (
-    CurveHullError,
-    GateError,
-    NonConvexCurveError,
-    NonPlanarCurveError,
-    PlanarCurveError,
-    VertexCountError,
-)
+from .errors import CurveHullError, GateError
 from .quadrature import hull_volume, planar_area_integral, tetra_volume_matrix
 
 ORACLE_SAMPLES = 200_000   # hull oracle resolution for --verify and converge
@@ -110,7 +106,7 @@ class _ResolvedCurve:
             self.gate_curve = load_polyline(spec)
             self.name = self.gate_curve.name
             if n is not None and n != self.gate_curve.n:
-                self.samples = sample_uniform(piecewise_linear(self.gate_curve), n)
+                self.samples = self.resample(n)
             else:
                 self.samples = self.gate_curve
         else:
@@ -123,13 +119,19 @@ class _ResolvedCurve:
                 ) from None
             self.name = self.entry.name
             self.gate_curve = None
-            self.samples = sample_uniform(self.entry.curve, n if n is not None else 1000)
+            self.samples = self.resample(n if n is not None else 1000)
 
-    def vertex_gate_profile(self):
+    def resample(self, n: int) -> SampledCurve:
+        """n samples uniform in arc length, along the polyline for a file."""
+        if self.entry is not None:
+            return sample_uniform(self.entry.curve, n)
+        return sample_uniform(piecewise_linear(self.gate_curve), n)
+
+    def vertex_report(self):
         if self.entry is not None:
             m = max(self.samples.n, _GATE_PROFILE_MIN)
-            return frenet_profile(self.entry.curve, m)
-        return discrete_frenet_profile(self.gate_curve)
+            return count_vertices(frenet_profile(self.entry.curve, m))
+        return count_vertices(discrete_frenet_profile(self.gate_curve))
 
     def convexity_samples(self) -> SampledCurve:
         return self.gate_curve if self.entry is None else self.samples
@@ -143,48 +145,6 @@ class _ResolvedCurve:
         return hull.mesh_volume(hull.build_hull(self.gate_curve.points))
 
 
-def _gate_planarity(samples: SampledCurve):
-    flat = planarity_check(samples)
-    if flat.is_planar:
-        raise PlanarCurveError(
-            "curve is planar, its hull has zero volume; use the `area` command",
-            rel_deviation=flat.rel_deviation,
-            suggestion="area",
-        )
-    return flat
-
-
-def _gate_vertices(resolved: _ResolvedCurve, expected: int):
-    report = count_vertices(resolved.vertex_gate_profile())
-    if report.is_planar:
-        raise PlanarCurveError(
-            "torsion vanishes identically, curve is planar; use the `area` command",
-            suggestion="area",
-        )
-    if report.vertex_count != expected:
-        raise VertexCountError(
-            f"torsion changes sign {report.vertex_count} times, expected "
-            f"{expected}; rerun with --force to compute anyway",
-            vertex_count=report.vertex_count,
-            expected=expected,
-        )
-    return report
-
-
-def _gate_convexity(samples: SampledCurve):
-    conv = is_convex_curve(samples)
-    if not conv.is_convex:
-        shown = conv.non_extreme[:10]
-        raise NonConvexCurveError(
-            f"{len(conv.non_extreme)} of {conv.n} samples are not extreme points "
-            f"of the hull (first indices: {shown}); the volume formula assumes a "
-            "convex curve",
-            non_extreme_count=len(conv.non_extreme),
-            non_extreme_head=[int(i) for i in shown],
-        )
-    return conv
-
-
 def cmd_volume(args) -> int:
     phases = {}
     t0 = time.perf_counter()
@@ -193,13 +153,13 @@ def cmd_volume(args) -> int:
     phases["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    flat = _gate_planarity(samples)
+    flat = require_nonplanar(samples)
     vertex_report = None
     if not args.force:
-        vertex_report = _gate_vertices(resolved, args.m)
+        vertex_report = require_vertex_count(resolved.vertex_report(), args.m)
     convexity = None
     if not args.skip_convexity:
-        convexity = _gate_convexity(resolved.convexity_samples())
+        convexity = require_convex(resolved.convexity_samples())
     phases["gates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -244,14 +204,8 @@ def cmd_area(args) -> int:
     t0 = time.perf_counter()
     resolved = _ResolvedCurve(args.curve, args.n)
     samples = resolved.samples
+    area = planar_area_integral(samples)  # refuses a non-planar curve
     flat = planarity_check(samples)
-    if not flat.is_planar:
-        raise NonPlanarCurveError(
-            f"curve leaves its best-fit plane by {flat.rel_deviation:.3g} of its "
-            "length; the area path needs a planar curve",
-            rel_deviation=flat.rel_deviation,
-        )
-    area = planar_area_integral(samples)
     phases["total"] = time.perf_counter() - t0
     _emit(
         {
@@ -276,18 +230,15 @@ def cmd_converge(args) -> int:
         raise ValueError("--ns list is empty")
 
     resolved = _ResolvedCurve(args.curve, max(ns))
-    _gate_planarity(resolved.samples)
+    require_nonplanar(resolved.samples)
     if not args.force:
-        _gate_vertices(resolved, args.m)
+        require_vertex_count(resolved.vertex_report(), args.m)
+    require_convex(resolved.convexity_samples())  # before the costly oracle
     oracle = resolved.oracle_volume()
 
     rows = []
     for n in ns:
-        samples = (
-            sample_uniform(resolved.entry.curve, n)
-            if resolved.entry is not None
-            else sample_uniform(piecewise_linear(resolved.gate_curve), n)
-        )
+        samples = resolved.resample(n)  # a file is resampled even at its own n
         t0 = time.perf_counter()
         result = hull_volume(samples, multiplicity=args.m, threads=args.threads, force=True)
         seconds = time.perf_counter() - t0
@@ -329,7 +280,7 @@ def cmd_diagnose(args) -> int:
     phases["hull"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vertex_report = count_vertices(resolved.vertex_gate_profile())
+    vertex_report = resolved.vertex_report()
     convexity = is_convex_curve(resolved.convexity_samples())
     support = hull.support_polygons(mesh)
     inequality = hull.four_vertex_inequality_report(
@@ -481,12 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
     p.add_argument("--skip-convexity", action="store_true", help="skip the convexity gate")
     p.add_argument("--threads", type=int, default=1, help="worker threads for the double sum")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("area", help="enclosed area of a planar curve")
     add_common(p)
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.set_defaults(func=cmd_area)
 
     p = sub.add_parser("converge", help="formula-vs-oracle sweep over sample counts")
@@ -496,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="125,250,500,1000,2000",
         help="comma-separated sample counts (default 125,250,500,1000,2000)",
     )
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=int, default=4, help="covering multiplicity (default 4)")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="worker threads for the double sum")
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")
     p.set_defaults(func=cmd_converge)
 
@@ -513,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for interface symmetry with volume and converge; unused, "
         "it does not change the report",
     )
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("export-mesh", help="write the hull mesh as an OBJ file")

@@ -1,6 +1,7 @@
 """Curve model: parameterized closed space curves, uniform arc-length sampling,
 Frenet data (curvature/torsion), torsion sign-change counting, planarity and
-convexity checks.
+convexity checks, and the require_* gates that refuse a curve failing the
+volume formula's hypotheses.
 
 Curves come in two flavors. An AnalyticCurve wraps a position callback (and
 optionally exact derivative callbacks) over a parameter interval [0, T].
@@ -17,7 +18,10 @@ import numpy as np
 
 from .errors import (
     DegenerateCurveError,
+    NonConvexCurveError,
     NotClosedError,
+    PlanarCurveError,
+    VertexCountError,
 )
 
 # relative tolerances, all scaled by a curve-intrinsic length
@@ -342,6 +346,27 @@ def count_vertices(profile: FrenetProfile) -> VertexReport:
     )
 
 
+def require_vertex_count(report: VertexReport, expected: int) -> VertexReport:
+    """Vertex-count gate of the volume formula: report, unless it refuses.
+
+    Raises PlanarCurveError when the torsion vanishes identically and
+    VertexCountError when it changes sign other than expected times.
+    """
+    if report.is_planar:
+        raise PlanarCurveError(
+            "torsion vanishes identically, curve is planar; use the `area` command",
+            suggestion="area",
+        )
+    if report.vertex_count != expected:
+        raise VertexCountError(
+            f"torsion changes sign {report.vertex_count} times, expected "
+            f"{expected}; rerun with --force to compute anyway",
+            vertex_count=report.vertex_count,
+            expected=expected,
+        )
+    return report
+
+
 # ----------------------------------------------------------------------------
 # Planarity and convex position
 
@@ -381,6 +406,22 @@ def planarity_check(curve: SampledCurve) -> PlanarityResult:
         normal=normal,
         centroid=centroid,
     )
+
+
+def require_nonplanar(curve: SampledCurve) -> PlanarityResult:
+    """Planarity gate of the volume formula: the check, unless it refuses.
+
+    Raises PlanarCurveError when the loop lies in a plane, whose hull has
+    zero volume.
+    """
+    flat = planarity_check(curve)
+    if flat.is_planar:
+        raise PlanarCurveError(
+            "curve is planar, its hull has zero volume; use the `area` command",
+            rel_deviation=flat.rel_deviation,
+            suggestion="area",
+        )
+    return flat
 
 
 @dataclass(eq=False)
@@ -432,6 +473,24 @@ def is_convex_curve(curve: SampledCurve, hull=None) -> ConvexityResult:
 
     mesh = _hull.build_hull(pts)
     return is_convex_curve(curve, hull=mesh)
+
+
+def require_convex(curve: SampledCurve) -> ConvexityResult:
+    """Convexity gate of the volume formula: the check, unless it refuses.
+
+    Raises NonConvexCurveError when some sample is buried inside the hull.
+    """
+    conv = is_convex_curve(curve)
+    if not conv.is_convex:
+        shown = conv.non_extreme[:10]
+        raise NonConvexCurveError(
+            f"{len(conv.non_extreme)} of {conv.n} samples are not extreme points "
+            f"of the hull (first indices: {shown}); the volume formula assumes a "
+            "convex curve",
+            non_extreme_count=len(conv.non_extreme),
+            non_extreme_head=[int(i) for i in shown],
+        )
+    return conv
 
 
 def _plane_basis(normal: np.ndarray) -> np.ndarray:

@@ -24,13 +24,13 @@ from .curves import (
     count_vertices,
     discrete_frenet_profile,
     planarity_check,
+    require_nonplanar,
+    require_vertex_count,
 )
 from .errors import (
     ChordSearchError,
     NonPlanarCurveError,
     OutsideHullError,
-    PlanarCurveError,
-    VertexCountError,
 )
 
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
@@ -186,33 +186,22 @@ def hull_volume(
 
     The formula divides the sum of |V_ij| by the covering multiplicity, which
     is 4 exactly when the loop is convex with four torsion sign changes, so
-    that hypothesis is checked first: planar input is rejected, and the
-    torsion sign count from a discrete Frenet profile must equal 4 unless a
-    precomputed vertex_report is supplied or force=True skips the gate
-    entirely (the number returned then rests on an unverified hypothesis).
+    that hypothesis is checked first by the gates of the curves module:
+    planar input is refused (require_nonplanar), and the torsion sign count,
+    from vertex_report when given or else from a discrete Frenet profile,
+    must equal multiplicity (require_vertex_count) unless force=True skips
+    that gate (the number returned then rests on an unverified hypothesis).
+    Convexity is not checked here; require_convex does that.
 
     with_error_estimate=True also evaluates the sum on every second sample
     and reports |V(n) - V(n/2)| as a resolution error proxy.
     """
-    flat = planarity_check(curve)
-    if flat.is_planar:
-        raise PlanarCurveError(
-            "curve is planar, hull volume is zero; use the area path",
-            rel_deviation=flat.rel_deviation,
-        )
+    require_nonplanar(curve)
     if not force:
         report = vertex_report
         if report is None:
             report = count_vertices(discrete_frenet_profile(curve))
-        if report.is_planar:
-            raise PlanarCurveError("torsion vanishes everywhere, curve is planar")
-        if report.vertex_count != multiplicity:
-            raise VertexCountError(
-                f"torsion changes sign {report.vertex_count} times, "
-                f"multiplicity {multiplicity} requires exactly {multiplicity}",
-                vertex_count=report.vertex_count,
-                expected=multiplicity,
-            )
+        require_vertex_count(report, multiplicity)
     vol = _abs_double_sum(curve.points, threads=threads) / multiplicity
     est = None
     if with_error_estimate and curve.n >= 8 and curve.n % 2 == 0:
@@ -396,7 +385,8 @@ def planar_area_integral(curve: SampledCurve) -> float:
     flat = planarity_check(curve)
     if not flat.is_planar:
         raise NonPlanarCurveError(
-            f"curve deviates from planarity by {flat.rel_deviation:.3g} of its length",
+            f"curve leaves its best-fit plane by {flat.rel_deviation:.3g} of its "
+            "length; the area path needs a planar curve",
             rel_deviation=flat.rel_deviation,
         )
     r = curve.points

@@ -87,6 +87,50 @@ def test_volume_convexity_gate(capsys):
     assert code == 0
 
 
+def test_volume_gates_planarity_before_the_vertex_stencil(square_file, capsys):
+    # 4 points are too few for the 8-point Frenet stencil (exit 2), but the
+    # planarity gate runs first and refuses the square with exit 1
+    code, rep = cli_json(capsys, "volume", square_file)
+    assert code == 1
+    assert rep["error"]["gate"] == "planarity"
+
+
+def _ellipse_volume(tmp_path):
+    sc = curvehull.sample_uniform(curvehull.gallery.get("ellipse").curve, 100)
+    return lambda: curvehull.hull_volume(sc), ("volume", "ellipse", "--n", "100")
+
+
+def _wobble3_file_volume(tmp_path):
+    sc = curvehull.sample_uniform(curvehull.gallery.get("wobble:k=3").curve, 500)
+    path = write_polyline(tmp_path / "wobble3.txt", sc.points)
+    return lambda: curvehull.hull_volume(load_polyline(path)), ("volume", path)
+
+
+def _saddle_area(tmp_path):
+    sc = curvehull.sample_uniform(curvehull.gallery.get("saddle").curve, 200)
+    return lambda: curvehull.planar_area_integral(sc), ("area", "saddle", "--n", "200")
+
+
+@pytest.mark.parametrize(
+    "case, gate",
+    [
+        (_ellipse_volume, "planarity"),
+        (_wobble3_file_volume, "vertex_count"),
+        (_saddle_area, "planarity"),
+    ],
+    ids=["ellipse-volume", "wobble3-file-volume", "saddle-area"],
+)
+def test_library_and_cli_refuse_with_the_same_words(case, gate, tmp_path, capsys):
+    library_call, argv = case(tmp_path)
+    with pytest.raises(curvehull.GateError) as info:
+        library_call()
+    exc = info.value
+    assert exc.gate == gate
+    code, rep = cli_json(capsys, *argv)
+    assert code == 1
+    assert rep["error"] == {"gate": exc.gate, "message": str(exc), **exc.details}
+
+
 def test_volume_timing_goes_to_stderr_only(capsys):
     code, out, err = run_cli(capsys, "volume", "saddle", "--n", "300")
     assert code == 0
@@ -176,6 +220,13 @@ def test_converge_planar_curve_rejected(capsys):
     code, rep = cli_json(capsys, "converge", "ellipse", "--ns", "100,200")
     assert code == 1
     assert rep["error"]["gate"] == "planarity"
+
+
+def test_converge_runs_the_convexity_gate(capsys):
+    code, rep = cli_json(capsys, "converge", "trefoil", "--ns", "125,250", "--force")
+    assert code == 1
+    assert rep["error"]["gate"] == "convexity"
+    assert rep["error"]["non_extreme_count"] > 0
 
 
 def test_converge_json_mode(capsys):
