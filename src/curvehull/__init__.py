@@ -54,6 +54,7 @@ from .quadrature import (
     PairClassification,
     VolumeResult,
     classify_adjacent_pair,
+    classify_pairs,
     estimate_covering_multiplicity,
     hull_volume,
     planar_area_integral,
@@ -97,6 +98,7 @@ __all__ = [
     "tetra_volume_matrix",
     "hull_volume",
     "classify_adjacent_pair",
+    "classify_pairs",
     "estimate_covering_multiplicity",
     "planar_area_integral",
     "gallery",

@@ -36,11 +36,12 @@ from .curves import (
     sample_uniform,
 )
 from .errors import CurveHullError, GateError
-from .quadrature import hull_volume, planar_area_integral, tetra_volume_matrix
+from .quadrature import hull_volume, planar_area_integral
 
 ORACLE_SAMPLES = 200_000   # hull oracle resolution for --verify and converge
 PROBE_MARGIN_RTOL = 0.01   # min probe clearance vs loop length in diagnose
 _GATE_PROFILE_MIN = 512    # min sample count for the analytic vertex gate
+_THREADS_HELP = "accepted for compatibility; changes neither the result nor the work"
 
 
 def _json_safe(obj):
@@ -281,7 +282,9 @@ def cmd_diagnose(args) -> int:
 
     t0 = time.perf_counter()
     vertex_report = resolved.vertex_report()
-    convexity = is_convex_curve(resolved.convexity_samples())
+    gate_samples = resolved.convexity_samples()
+    # the hull of samples is the hull the convexity check would build
+    convexity = is_convex_curve(gate_samples, hull=mesh if gate_samples is samples else None)
     support = hull.support_polygons(mesh)
     inequality = hull.four_vertex_inequality_report(
         vertex_count=vertex_report.vertex_count,
@@ -294,18 +297,12 @@ def cmd_diagnose(args) -> int:
     n = samples.n
     stride = max(1, n // 64)
     grid = np.arange(0, n, stride)
-    v1 = tetra_volume_matrix(samples, rows=grid, cols=grid)
-    v2 = tetra_volume_matrix(samples, rows=(grid + 1) % n, cols=grid)
-    floor = quadrature.DEGENERACY_RTOL * samples.total_length**3
-    off_diag = grid[:, None] != grid[None, :]
-    degen = ((np.abs(v1) <= floor) | (np.abs(v2) <= floor)) & off_diag
-    same = ((v1 > 0) == (v2 > 0)) & ~degen & off_diag
+    labels = quadrature.classify_pairs(samples, grid, grid)[0]
+    labels = labels[grid[:, None] != grid[None, :]]  # off the diagonal
     classification = {
         "grid_stride": int(stride),
-        "pairs": int(off_diag.sum()),
-        "interior": int(same.sum()),
-        "boundary": int((off_diag & ~degen & ~same).sum()),
-        "degenerate": int(degen.sum()),
+        "pairs": int(labels.size),
+        **{k: int((labels == k).sum()) for k in ("interior", "boundary", "degenerate")},
     }
     phases["classify"] = time.perf_counter() - t0
 
@@ -431,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="cross-check against the hull oracle")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
     p.add_argument("--skip-convexity", action="store_true", help="skip the convexity gate")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for the double sum")
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("area", help="enclosed area of a planar curve")
@@ -447,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, default=4, help="covering multiplicity (default 4)")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for the double sum")
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")
     p.set_defaults(func=cmd_converge)
 
@@ -455,13 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--probes", type=int, default=100, help="random interior probes")
     p.add_argument("--seed", type=int, default=42, help="probe RNG seed (PCG64)")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface symmetry with volume and converge; unused, "
-        "it does not change the report",
-    )
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("export-mesh", help="write the hull mesh as an OBJ file")

@@ -360,7 +360,7 @@ def require_vertex_count(report: VertexReport, expected: int) -> VertexReport:
     if report.vertex_count != expected:
         raise VertexCountError(
             f"torsion changes sign {report.vertex_count} times, expected "
-            f"{expected}; rerun with --force to compute anyway",
+            f"{expected}; rerun with --force (force=True in hull_volume) to compute anyway",
             vertex_count=report.vertex_count,
             expected=expected,
         )
@@ -444,19 +444,13 @@ def is_convex_curve(curve: SampledCurve, hull=None) -> ConvexityResult:
     A sample that is not a hull vertex still counts as extreme if it lies
     within the hull tolerance of the boundary (collinear or coplanar runs);
     only points buried strictly inside are flagged. Planar loops are handled
-    through a 2-d hull in the fitted plane. Pass a prebuilt HullMesh to skip
-    rebuilding.
+    through a 2-d hull in the fitted plane. Pass the prebuilt HullMesh of the
+    samples to skip rebuilding it; the result is the same.
     """
     from . import hull as _hull  # local import: hull builds on scipy
 
     pts = curve.points
     n = len(pts)
-    if hull is not None:
-        rest = np.setdiff1d(np.arange(n), hull.vertex_indices)
-        depth = _hull.signed_distance(hull, pts[rest])
-        buried = [int(i) for i in rest[depth < -hull.eps]]
-        return ConvexityResult(is_convex=not buried, non_extreme=buried, n=n)
-
     flat = planarity_check(curve)
     if flat.is_planar:
         from scipy.spatial import ConvexHull as _CH
@@ -471,8 +465,11 @@ def is_convex_curve(curve: SampledCurve, hull=None) -> ConvexityResult:
         buried = [i for i in range(n) if i not in vertex_idx and inner[i] < -eps]
         return ConvexityResult(is_convex=not buried, non_extreme=buried, n=n)
 
-    mesh = _hull.build_hull(pts)
-    return is_convex_curve(curve, hull=mesh)
+    mesh = _hull.build_hull(pts) if hull is None else hull
+    rest = np.setdiff1d(np.arange(n), mesh.vertex_indices)
+    depth = _hull.signed_distance(mesh, pts[rest])
+    buried = [int(i) for i in rest[depth < -mesh.eps]]
+    return ConvexityResult(is_convex=not buried, non_extreme=buried, n=n)
 
 
 def require_convex(curve: SampledCurve) -> ConvexityResult:

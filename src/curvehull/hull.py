@@ -99,12 +99,18 @@ def build_hull(points) -> HullMesh:
     return mesh
 
 
-def _validate(mesh: HullMesh) -> None:
+def _edge_keys(mesh: HullMesh) -> np.ndarray:
+    """One int64 key lo * n + hi per facet edge; key k is on facet k % n_facets."""
     f = mesh.facets
     e = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]).astype(np.int64)
     e.sort(axis=1)
+    return e[:, 0] * len(mesh.points) + e[:, 1]
+
+
+def _validate(mesh: HullMesh) -> None:
+    f = mesh.facets
     # one int64 key per undirected edge: a 1-d unique instead of a row-wise one
-    _, counts = np.unique(e[:, 0] * len(mesh.points) + e[:, 1], return_counts=True)
+    _, counts = np.unique(_edge_keys(mesh), return_counts=True)
     if np.any(counts != 2):
         raise CurveHullError("hull mesh is not watertight (edge shared != 2 times)")
     n_edges = len(counts)
@@ -233,64 +239,44 @@ def _has_far_triple(ids, n: int) -> bool:
 def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
     """Find hull patches lying in a single plane touched by distant samples.
 
-    Adjacent facets are merged when their planes agree (normals within
-    1e-6 rad, offsets within eps); each resulting patch counts
-    toward P when the samples it touches admit three indices pairwise more
-    than 2 apart around the sample cycle. Sample indices refer to positions
+    Adjacent facets are merged, as connected components, when their planes
+    agree (normals within 1e-6 rad, offsets within eps); each resulting patch
+    counts toward P when the samples it touches admit three indices pairwise
+    more than 2 apart around the sample cycle. Sample indices refer to positions
     along the input loop, so the distance rule excludes patches explained by
     consecutive samples alone.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = len(mesh.points)
     f = mesh.facets
-    parent = list(range(len(f)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    edges = {}
-    for t, (i, j, k) in enumerate(f):
-        for e in ((i, j), (j, k), (k, i)):
-            key = (min(e), max(e))
-            edges.setdefault(key, []).append(t)
-    for pair in edges.values():
-        if len(pair) != 2:
-            continue
-        t1, t2 = pair
-        if (
-            float(mesh.normals[t1] @ mesh.normals[t2]) >= _COPLANAR_NORMAL_COS
-            and abs(mesh.offsets[t1] - mesh.offsets[t2]) <= mesh.eps
-        ):
-            union(t1, t2)
-
-    groups = {}
-    for t in range(len(f)):
-        groups.setdefault(find(t), []).append(t)
-
+    # _validate saw every edge key exactly twice, so sorted keys pair up
+    t1, t2 = (np.argsort(_edge_keys(mesh), kind="stable").reshape(-1, 2) % len(f)).T
+    flat = (
+        np.einsum("ij,ij->i", mesh.normals[t1], mesh.normals[t2]) >= _COPLANAR_NORMAL_COS
+    ) & (np.abs(mesh.offsets[t1] - mesh.offsets[t2]) <= mesh.eps)
+    graph = coo_matrix(
+        (np.ones(int(flat.sum()), dtype=np.int8), (t1[flat], t2[flat])), shape=(len(f), len(f))
+    )
+    # components are numbered in the order of their smallest facet
+    label = connected_components(graph, directed=False)[1]
+    sizes = np.bincount(label)
     patches = []
-    multi = 0
-    for root in sorted(groups):
-        members = groups[root]
-        if len(members) > 1:
-            multi += 1
-        touched = sorted(set(int(x) for t in members for x in f[t]))
+    for members in np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]):
+        touched = np.unique(f[members]).tolist()
         if _has_far_triple(touched, n):
             patches.append(
                 SupportPatch(
-                    facet_ids=members,
+                    facet_ids=members.tolist(),
                     sample_ids=touched,
                     normal=mesh.normals[members[0]].copy(),
                     offset=float(mesh.offsets[members[0]]),
                 )
             )
-    return SupportPolygonReport(count=len(patches), patches=patches, coplanar_groups=multi)
+    return SupportPolygonReport(
+        count=len(patches), patches=patches, coplanar_groups=int(np.count_nonzero(sizes > 1))
+    )
 
 
 # ----------------------------------------------------------------------------

@@ -13,7 +13,6 @@ or boundary, and chord counting near a probe point estimates m directly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,16 +64,20 @@ def signed_tetra_volume(curve: SampledCurve, i: int, j: int, chord_form: bool = 
     return triple_product(ri1 - ri, rj - ri, tail) / 6.0
 
 
-def _tetra_factors(points: np.ndarray) -> tuple:
-    """Rank-6 factors A (n, 6) and B^T (6, n) with 6 V = A B^T.
+def _tetra_factors(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """Rank-6 factors A (len(rows), 6) and B^T (6, len(cols)) with 6 V = A B^T.
 
     Expanding the determinant with E the edge vectors gives
     6 V_ij = E_i . (r_j x E_j) - (E_i x r_i) . E_j, so with C = r x E
-    (and E x r = -C exactly) A = [E, C] and B = [C, E].
+    (and E x r = -C exactly) A = [E, C] and B = [C, E]. Only the edges in
+    rows and cols are evaluated, so a small grid costs no O(n) work.
     """
-    e = np.roll(points, -1, axis=0) - points
-    c = np.cross(points, e)
-    return np.hstack([e, c]), np.vstack([c.T, e.T])
+    idx = np.concatenate([rows, cols])
+    r = points[idx]
+    e = points[(idx + 1) % len(points)] - r
+    c = np.cross(r, e)
+    k = len(rows)
+    return np.hstack([e[:k], c[:k]]), np.vstack([c[k:].T, e[k:].T])
 
 
 def tetra_volume_matrix(
@@ -91,11 +94,10 @@ def tetra_volume_matrix(
     points, and its diagonal is zero up to rounding. Index arrays read a
     sub-grid without building the n x n matrix.
     """
-    a, bt = _tetra_factors(curve.points)
-    if rows is not None:
-        a = a[np.asarray(rows)]
-    if cols is not None:
-        bt = bt[:, np.asarray(cols)]
+    every = np.arange(curve.n)
+    rows = every if rows is None else np.asarray(rows)
+    cols = every if cols is None else np.asarray(cols)
+    a, bt = _tetra_factors(curve.points, rows, cols)
     return (a @ bt) / 6.0
 
 
@@ -112,47 +114,32 @@ def _tree_sum(parts) -> float:
     return vals[0]
 
 
-def _abs_double_sum(points: np.ndarray, threads: int = 1) -> float:
+def _abs_double_sum(points: np.ndarray) -> float:
     """sum over all ordered pairs (i, j) of |V_ij|, in O(n) memory.
 
     With the factors of tetra_volume_matrix, 6 V = A B^T. V_ij = V_ji
     (swapping the two edges is an even permutation of the tetra's four
     points) and V_ii = 0, so the sum is twice the sum over i < j. Row block
     s:t of that upper triangle is one product A[s:t] @ B^T[:, s:], written
-    into a _CHUNK_ROWS x n buffer that each worker thread allocates once and
-    made absolute in place; the block's diagonal and lower triangle are
-    zeroed before it is summed.
+    into one reused _CHUNK_ROWS x n buffer and made absolute in place; the
+    block's diagonal and lower triangle are zeroed before it is summed.
 
     The block layout and the pairwise combination tree of _tree_sum depend
-    only on n, so the bits do not depend on threads or on the BLAS thread
-    count.
+    only on n, so the bits do not depend on the BLAS thread count.
     """
     n = len(points)
-    a, bt = _tetra_factors(points)
-    starts = list(range(0, n, _CHUNK_ROWS))
+    a, bt = _tetra_factors(points, np.arange(n), np.arange(n))
     lower = np.tri(_CHUNK_ROWS, dtype=bool)  # diagonal and below
-
-    def run(mine: list) -> list:
-        buf = np.empty(min(_CHUNK_ROWS, n) * n)
-        parts = []
-        for s in mine:
-            t = min(s + _CHUNK_ROWS, n)
-            # a contiguous view, so that matmul writes into buf without a temporary
-            blk = buf[: (t - s) * (n - s)].reshape(t - s, n - s)
-            np.matmul(a[s:t], bt[:, s:], out=blk)
-            np.abs(blk, out=blk)
-            np.copyto(blk[:, : t - s], 0.0, where=lower[: t - s, : t - s])
-            parts.append(float(blk.sum()))
-        return parts
-
-    workers = max(1, min(threads, len(starts)))
-    if workers > 1:
-        # interleaved block sets even out the shrinking upper-triangle rows
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run, [starts[w::workers] for w in range(workers)]))
-        parts = [done[k % workers][k // workers] for k in range(len(starts))]
-    else:
-        parts = run(starts)
+    buf = np.empty(min(_CHUNK_ROWS, n) * n)
+    parts = []
+    for s in range(0, n, _CHUNK_ROWS):
+        t = min(s + _CHUNK_ROWS, n)
+        # a contiguous view, so that matmul writes into buf without a temporary
+        blk = buf[: (t - s) * (n - s)].reshape(t - s, n - s)
+        np.matmul(a[s:t], bt[:, s:], out=blk)
+        np.abs(blk, out=blk)
+        np.copyto(blk[:, : t - s], 0.0, where=lower[: t - s, : t - s])
+        parts.append(float(blk.sum()))
     return 2.0 * _tree_sum(parts) / 6.0
 
 
@@ -194,7 +181,8 @@ def hull_volume(
     Convexity is not checked here; require_convex does that.
 
     with_error_estimate=True also evaluates the sum on every second sample
-    and reports |V(n) - V(n/2)| as a resolution error proxy.
+    and reports |V(n) - V(n/2)| as a resolution error proxy. threads changes
+    neither the result nor the work; the sum runs in one thread.
     """
     require_nonplanar(curve)
     if not force:
@@ -202,10 +190,10 @@ def hull_volume(
         if report is None:
             report = count_vertices(discrete_frenet_profile(curve))
         require_vertex_count(report, multiplicity)
-    vol = _abs_double_sum(curve.points, threads=threads) / multiplicity
+    vol = _abs_double_sum(curve.points) / multiplicity
     est = None
     if with_error_estimate and curve.n >= 8 and curve.n % 2 == 0:
-        half = _abs_double_sum(curve.points[::2], threads=threads) / multiplicity
+        half = _abs_double_sum(curve.points[::2]) / multiplicity
         est = abs(vol - half)
     return VolumeResult(
         volume=vol, n=curve.n, multiplicity=multiplicity, error_estimate=est
@@ -232,18 +220,29 @@ class PairClassification:
     triangle: Optional[tuple]
 
 
-def classify_adjacent_pair(curve: SampledCurve, i: int, j: int) -> PairClassification:
-    """Classify the sign flip between V_ij and V_{i+1,j}."""
-    n = curve.n
-    v1 = signed_tetra_volume(curve, i, j)
-    v2 = signed_tetra_volume(curve, (i + 1) % n, j)
+def classify_pairs(curve: SampledCurve, rows, cols) -> tuple:
+    """Label the sign flip between V_ij and V_{i+1,j} for i in rows, j in cols.
+
+    Returns (labels, V_ij, V_{i+1,j}), each of shape (len(rows), len(cols));
+    labels holds "interior", "boundary" or "degenerate" by the rule of
+    PairClassification. Both volume grids come from one tetra_volume_matrix call.
+    """
+    rows = np.asarray(rows)
+    v = tetra_volume_matrix(curve, rows=np.concatenate([rows, (rows + 1) % curve.n]), cols=cols)
+    v1, v2 = v[: len(rows)], v[len(rows) :]
     floor = DEGENERACY_RTOL * curve.total_length**3
-    if abs(v1) <= floor or abs(v2) <= floor:
-        return PairClassification("degenerate", v1, v2, None)
-    if (v1 > 0) == (v2 > 0):
-        return PairClassification("interior", v1, v2, None)
-    tri = ((i + 1) % n, j % n, (j + 1) % n)
-    return PairClassification("boundary", v1, v2, tri)
+    degenerate = (np.abs(v1) <= floor) | (np.abs(v2) <= floor)
+    labels = np.where((v1 > 0) == (v2 > 0), "interior", "boundary")
+    return np.where(degenerate, "degenerate", labels), v1, v2
+
+
+def classify_adjacent_pair(curve: SampledCurve, i: int, j: int) -> PairClassification:
+    """Classify the sign flip between V_ij and V_{i+1,j}: classify_pairs on one pair."""
+    n = curve.n
+    labels, v1, v2 = classify_pairs(curve, [i % n], [j % n])
+    label = str(labels[0, 0])
+    tri = ((i + 1) % n, j % n, (j + 1) % n) if label == "boundary" else None
+    return PairClassification(label, float(v1[0, 0]), float(v2[0, 0]), tri)
 
 
 # ----------------------------------------------------------------------------

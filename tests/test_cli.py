@@ -112,20 +112,22 @@ def _saddle_area(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case, gate",
+    "case, gate, names",
     [
-        (_ellipse_volume, "planarity"),
-        (_wobble3_file_volume, "vertex_count"),
-        (_saddle_area, "planarity"),
+        (_ellipse_volume, "planarity", ()),
+        # the override is spelled both ways: a CLI flag and a library argument
+        (_wobble3_file_volume, "vertex_count", ("--force", "force=True")),
+        (_saddle_area, "planarity", ()),
     ],
     ids=["ellipse-volume", "wobble3-file-volume", "saddle-area"],
 )
-def test_library_and_cli_refuse_with_the_same_words(case, gate, tmp_path, capsys):
+def test_library_and_cli_refuse_with_the_same_words(case, gate, names, tmp_path, capsys):
     library_call, argv = case(tmp_path)
     with pytest.raises(curvehull.GateError) as info:
         library_call()
     exc = info.value
     assert exc.gate == gate
+    assert all(name in str(exc) for name in names)
     code, rep = cli_json(capsys, *argv)
     assert code == 1
     assert rep["error"] == {"gate": exc.gate, "message": str(exc), **exc.details}

@@ -237,6 +237,19 @@ def test_convexity_non_extreme_matches_per_point_loop():
     assert all(type(i) is int for i in res.non_extreme)
 
 
+def test_convexity_with_a_prebuilt_hull_matches_on_a_nearly_planar_loop():
+    # a five-lobed flower lifted by 4e-9: planar to planarity_check, yet thick
+    # enough for build_hull; both calls must take the planar path
+    t = np.arange(400) * (2 * np.pi / 400)
+    r = 1 + 0.3 * np.cos(5 * t)
+    pts = np.stack([r * np.cos(t), r * np.sin(t), 4e-9 * np.sin(3 * t)], axis=1)
+    sc = SampledCurve.from_points(pts)
+    assert planarity_check(sc).is_planar
+    res = is_convex_curve(sc)
+    assert len(res.non_extreme) > 0
+    assert is_convex_curve(sc, hull=build_hull(pts)).non_extreme == res.non_extreme
+
+
 def test_convexity_planar_circle():
     sc = sample_uniform(circle_curve(), 200)
     res = is_convex_curve(sc)

@@ -17,6 +17,7 @@ from curvehull import (
     signed_distance,
     support_polygons,
 )
+from curvehull.hull import _COPLANAR_NORMAL_COS, _has_far_triple
 
 
 def unit_cube_points():
@@ -177,6 +178,79 @@ def test_wobble_tritangent_planes_counted():
     top, bottom = sorted(tuple(sorted(p.sample_ids)) for p in rep.patches)
     assert top == (42, 208, 375)
     assert bottom == (125, 292, 458)
+
+
+def union_find_support_polygons(mesh):
+    """Reference: the patch grouping support_polygons used before it moved to
+    scipy's connected_components, a dict of edges and a union-find whose
+    roots are the smallest facet of each patch."""
+    n = len(mesh.points)
+    f = mesh.facets
+    parent = list(range(len(f)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    edges = {}
+    for t, (i, j, k) in enumerate(f):
+        for e in ((i, j), (j, k), (k, i)):
+            edges.setdefault((min(e), max(e)), []).append(t)
+    for pair in edges.values():
+        if len(pair) != 2:
+            continue
+        t1, t2 = pair
+        if (
+            float(mesh.normals[t1] @ mesh.normals[t2]) >= _COPLANAR_NORMAL_COS
+            and abs(mesh.offsets[t1] - mesh.offsets[t2]) <= mesh.eps
+        ):
+            union(t1, t2)
+
+    groups = {}
+    for t in range(len(f)):
+        groups.setdefault(find(t), []).append(t)
+    patches = []
+    for root in sorted(groups):
+        members = groups[root]
+        touched = sorted(set(int(x) for t in members for x in f[t]))
+        if _has_far_triple(touched, n):
+            patches.append(
+                (members, touched, mesh.normals[members[0]], float(mesh.offsets[members[0]]))
+            )
+    multi = sum(len(m) > 1 for m in groups.values())
+    return len(patches), multi, patches
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        ("saddle", 1000),
+        ("saddle", 2000),
+        ("baseball", 500),
+        ("wobble:k=3", 400),
+        ("wobble:k=3", 500),
+        ("wobble:k=5", 1000),
+        ("trefoil", 300),
+    ],
+)
+def test_support_polygons_match_union_find_reference(name, n):
+    mesh = build_hull(sample_uniform(gallery.get(name).curve, n).points)
+    rep = support_polygons(mesh)
+    count, multi, patches = union_find_support_polygons(mesh)
+    assert (rep.count, rep.coplanar_groups) == (count, multi)
+    assert rep.as_dict()["patch_sample_ids"] == [touched for _, touched, _, _ in patches]
+    for got, (members, touched, normal, offset) in zip(rep.patches, patches):
+        assert got.facet_ids == members
+        assert got.sample_ids == touched
+        assert np.array_equal(got.normal, normal)
+        assert got.offset == offset
 
 
 # ---------------------------------------------------------------- inequality report

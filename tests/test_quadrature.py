@@ -16,6 +16,7 @@ from curvehull import (
     VertexCountError,
     build_hull,
     classify_adjacent_pair,
+    classify_pairs,
     estimate_covering_multiplicity,
     gallery,
     hull_volume,
@@ -30,6 +31,7 @@ from curvehull import (
 from curvehull.quadrature import (
     CHORD_TOL_FACTOR,
     CLUSTER_GAP,
+    DEGENERACY_RTOL,
     _abs_double_sum,
     _near_chords,
 )
@@ -186,23 +188,18 @@ def test_volume_rigid_motion_invariance(saddle_curve, rng):
 
 def test_adjacent_pair_labels_at_odd_resolution(saddle_curve):
     sc = sample_uniform(saddle_curve, 201)
-    counts = {"interior": 0, "boundary": 0, "degenerate": 0}
-    mesh = build_hull(sc.points)
-    worst_boundary = 0.0
-    for i in range(sc.n):
-        for j in range(sc.n):
-            if i == j:
-                continue
-            c = classify_adjacent_pair(sc, i, j)
-            counts[c.label] += 1
-            if c.label == "boundary":
-                tri = sc.points[list(c.triangle)]
-                sd = abs(signed_distance(mesh, tri.mean(axis=0)))
-                worst_boundary = max(worst_boundary, sd)
-            else:
-                assert c.triangle is None
+    idx = np.arange(sc.n)
+    labels = classify_pairs(sc, idx, idx)[0]
+    off_diag = idx[:, None] != idx[None, :]
+    counts = {
+        k: int((labels[off_diag] == k).sum()) for k in ("interior", "boundary", "degenerate")
+    }
     # breaking the even-n symmetry exposes genuine boundary transitions
     assert counts == {"interior": 39006, "boundary": 197, "degenerate": 997}
+    mesh = build_hull(sc.points)
+    i, j = np.nonzero((labels == "boundary") & off_diag)
+    centroids = (sc.points[(i + 1) % sc.n] + sc.points[j] + sc.points[(j + 1) % sc.n]) / 3.0
+    worst_boundary = float(np.max(np.abs(signed_distance(mesh, centroids))))
     assert worst_boundary <= mesh.eps
 
 
@@ -210,13 +207,52 @@ def test_classification_flags_coplanar_flips_at_even_resolution(saddle_curve):
     # with n even the saddle is antipodally symmetric and every sign
     # transition involves an exactly coplanar quadruple
     sc = sample_uniform(saddle_curve, 200)
-    boundary = sum(
-        classify_adjacent_pair(sc, i, j).label == "boundary"
-        for i in range(200)
-        for j in range(200)
-        if i != j
-    )
+    idx = np.arange(200)
+    labels = classify_pairs(sc, idx, idx)[0]
+    boundary = int(((labels == "boundary") & (idx[:, None] != idx[None, :])).sum())
     assert boundary == 0
+
+
+@pytest.mark.parametrize(
+    "name, n", [("saddle", 201), ("saddle", 200), ("baseball", 151), ("wobble:k=3", 160)]
+)
+def test_classify_pairs_matches_per_pair_signs(name, n):
+    # the sign rule applied pair by pair to the determinant form of V_ij;
+    # row i + 1 of the reference holds V_{i+1,j}
+    sc = sample_uniform(gallery.get(name).curve, n)
+    floor = DEGENERACY_RTOL * sc.total_length**3
+    ref = np.array([[signed_tetra_volume(sc, i, j) for j in range(n)] for i in range(n)])
+    ref_next = np.roll(ref, -1, axis=0)
+
+    def label(v1, v2):
+        if abs(v1) <= floor or abs(v2) <= floor:
+            return "degenerate"
+        return "interior" if (v1 > 0) == (v2 > 0) else "boundary"
+
+    want = np.array([[label(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(ref, ref_next)])
+    labels, v_first, v_second = classify_pairs(sc, np.arange(n), np.arange(n))
+    assert labels.shape == (n, n)
+    assert np.argwhere(labels != want).tolist() == []
+    assert np.max(np.abs(v_first - ref)) <= 1e-15
+    assert np.max(np.abs(v_second - ref_next)) <= 1e-15
+
+
+def test_classify_adjacent_pair_is_one_cell_of_the_grid(saddle_curve):
+    sc = sample_uniform(saddle_curve, 201)
+    n = sc.n
+    labels, v_first, v_second = classify_pairs(sc, np.arange(n), np.arange(n))
+    bi, bj = np.nonzero(labels == "boundary")
+    pairs = set(zip(bi.tolist(), bj.tolist()))
+    pairs |= {(i, j) for i in range(0, n, 7) for j in range(n)}
+    for i, j in sorted(pairs):
+        c = classify_adjacent_pair(sc, i, j)
+        assert c.label == labels[i, j]
+        assert abs(c.v_first - v_first[i, j]) <= 1e-15
+        assert abs(c.v_second - v_second[i, j]) <= 1e-15
+        want = ((i + 1) % n, j, (j + 1) % n) if c.label == "boundary" else None
+        assert c.triangle == want
+    # indices wrap around the loop
+    assert classify_adjacent_pair(sc, int(bi[0]) + n, int(bj[0]) - n).label == "boundary"
 
 
 # ---------------------------------------------------------------- multiplicity
