@@ -137,6 +137,14 @@ class _ResolvedCurve:
     def convexity_samples(self) -> SampledCurve:
         return self.gate_curve if self.entry is None else self.samples
 
+    def gates(self, m: int, force: bool, skip_convexity: bool = False) -> tuple:
+        """Planarity, then the vertex count unless force, then convexity unless
+        skip_convexity: the volume formula's gate results, None where skipped."""
+        flat = require_nonplanar(self.samples)
+        vertex_report = None if force else require_vertex_count(self.vertex_report(), m)
+        convexity = None if skip_convexity else require_convex(self.convexity_samples())
+        return flat, vertex_report, convexity
+
     def oracle_volume(self) -> float:
         """Reference hull volume from a dense, fixed-resolution point set."""
         if self.entry is not None:
@@ -154,13 +162,7 @@ def cmd_volume(args) -> int:
     phases["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    flat = require_nonplanar(samples)
-    vertex_report = None
-    if not args.force:
-        vertex_report = require_vertex_count(resolved.vertex_report(), args.m)
-    convexity = None
-    if not args.skip_convexity:
-        convexity = require_convex(resolved.convexity_samples())
+    flat, vertex_report, convexity = resolved.gates(args.m, args.force, args.skip_convexity)
     phases["gates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -231,10 +233,7 @@ def cmd_converge(args) -> int:
         raise ValueError("--ns list is empty")
 
     resolved = _ResolvedCurve(args.curve, max(ns))
-    require_nonplanar(resolved.samples)
-    if not args.force:
-        require_vertex_count(resolved.vertex_report(), args.m)
-    require_convex(resolved.convexity_samples())  # before the costly oracle
+    resolved.gates(args.m, args.force)  # before the costly oracle
     oracle = resolved.oracle_volume()
 
     rows = []

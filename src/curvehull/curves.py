@@ -30,6 +30,7 @@ PLANARITY_RTOL = 1e-9        # plane deviation vs total length
 TAU_HYSTERESIS_RTOL = 1e-7   # torsion sign hysteresis vs max |tau|
 PLANAR_TAU_FLOOR = 1e-9      # max|tau| vs max kappa, below which torsion is noise
 FD_STEP_RTOL = 1e-4          # finite-difference step vs period T
+ARC_TABLE_CHORDS = 20        # arc-length table chords per sample in sample_uniform
 _CROSS_DEGENERATE_RTOL = 1e-10  # |r' x r''| floor vs its max, for torsion
 
 
@@ -136,17 +137,17 @@ class SampledCurve:
         return SampledCurve(points=pts, arc_lengths=self.arc_lengths.copy(), name=self.name)
 
 
-def sample_uniform(curve: AnalyticCurve, n: int, fine: int = 20) -> SampledCurve:
+def sample_uniform(curve: AnalyticCurve, n: int) -> SampledCurve:
     """Sample a closed analytic curve at n points uniformly spaced in arc length.
 
-    The arc-length function is tabulated on a fine grid (fine * n + 1 chords)
-    and inverted by monotone interpolation, so edge lengths agree to high
+    The arc-length function is tabulated on a fine grid (ARC_TABLE_CHORDS * n
+    chords) and inverted by monotone interpolation, so edge lengths agree to high
     relative accuracy for smooth curves. Raises NotClosedError unless the
     endpoints meet within CLOSURE_RTOL of the total length.
     """
     if n < 4:
         raise ValueError(f"need n >= 4 samples, got {n}")
-    tf = np.linspace(0.0, curve.period, fine * n + 1)
+    tf = np.linspace(0.0, curve.period, ARC_TABLE_CHORDS * n + 1)
     pf = curve(tf)
     seg = np.linalg.norm(np.diff(pf, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
@@ -220,6 +221,16 @@ def _frenet_from_derivatives(params, v1, v2, v3) -> FrenetProfile:
     return FrenetProfile(params=params, kappa=kappa, tau=tau, degenerate=degenerate)
 
 
+def _central_differences(shift, h: float) -> tuple:
+    """Fourth-order central differences (v1, v2, v3) of the first three
+    derivatives, from the values shift(k) k steps of size h away, k = -3..3."""
+    f = {k: shift(k) for k in range(-3, 4)}
+    v1 = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * h)
+    v2 = (-f[-2] + 16 * f[-1] - 30 * f[0] + 16 * f[1] - f[2]) / (12 * h**2)
+    v3 = (f[-3] - 8 * f[-2] + 13 * f[-1] - 13 * f[1] + 8 * f[2] - f[3]) / (8 * h**3)
+    return v1, v2, v3
+
+
 def frenet_profile(curve: AnalyticCurve, n: int) -> FrenetProfile:
     """Sample curvature and torsion at n uniform parameter values.
 
@@ -238,11 +249,7 @@ def frenet_profile(curve: AnalyticCurve, n: int) -> FrenetProfile:
         v3 = np.asarray(curve.d3(t), dtype=np.float64)
     else:
         h = curve.period * FD_STEP_RTOL
-        f = {k: curve(t + k * h) for k in (-3, -2, -1, 1, 2, 3)}
-        f[0] = curve(t)
-        v1 = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * h)
-        v2 = (-f[-2] + 16 * f[-1] - 30 * f[0] + 16 * f[1] - f[2]) / (12 * h**2)
-        v3 = (f[-3] - 8 * f[-2] + 13 * f[-1] - 13 * f[1] + 8 * f[2] - f[3]) / (8 * h**3)
+        v1, v2, v3 = _central_differences(lambda k: curve(t + k * h), h)
     return _frenet_from_derivatives(t, v1, v2, v3)
 
 
@@ -258,13 +265,7 @@ def discrete_frenet_profile(curve: SampledCurve) -> FrenetProfile:
     if n < 8:
         raise ValueError(f"need n >= 8 samples for the cyclic stencils, got {n}")
     h = curve.total_length / n
-
-    def sh(k):
-        return np.roll(p, -k, axis=0)
-
-    v1 = (sh(-2) - 8 * sh(-1) + 8 * sh(1) - sh(2)) / (12 * h)
-    v2 = (-sh(-2) + 16 * sh(-1) - 30 * p + 16 * sh(1) - sh(2)) / (12 * h**2)
-    v3 = (sh(-3) - 8 * sh(-2) + 13 * sh(-1) - 13 * sh(1) + 8 * sh(2) - sh(3)) / (8 * h**3)
+    v1, v2, v3 = _central_differences(lambda k: np.roll(p, -k, axis=0), h)
     params = np.arange(n) * h
     return _frenet_from_derivatives(params, v1, v2, v3)
 
@@ -463,12 +464,8 @@ def is_convex_curve(curve: SampledCurve, hull=None) -> ConvexityResult:
         dist = uv @ ch.equations[:, :2].T + ch.equations[:, 2]
         inner = dist.max(axis=1)  # signed distance to the boundary, <= 0 inside
         buried = [i for i in range(n) if i not in vertex_idx and inner[i] < -eps]
-        return ConvexityResult(is_convex=not buried, non_extreme=buried, n=n)
-
-    mesh = _hull.build_hull(pts) if hull is None else hull
-    rest = np.setdiff1d(np.arange(n), mesh.vertex_indices)
-    depth = _hull.signed_distance(mesh, pts[rest])
-    buried = [int(i) for i in rest[depth < -mesh.eps]]
+    else:
+        buried = (_hull.build_hull(pts) if hull is None else hull).buried.tolist()
     return ConvexityResult(is_convex=not buried, non_extreme=buried, n=n)
 
 

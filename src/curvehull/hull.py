@@ -29,7 +29,8 @@ class HullMesh:
     that cross(b - a, c - a) points outward. normals/offsets describe the
     facet planes as normal . x + offset = 0 with normal outward, so the
     expression is negative inside. eps is the absolute containment
-    tolerance, HULL_EPS_RTOL times the bounding-box diagonal.
+    tolerance, HULL_EPS_RTOL times the bounding-box diagonal, and buried
+    the ascending indices of the points more than eps inside the hull.
     """
 
     points: np.ndarray
@@ -38,6 +39,7 @@ class HullMesh:
     offsets: np.ndarray
     vertex_indices: np.ndarray
     eps: float
+    buried: np.ndarray = None
 
     @property
     def n_vertices(self) -> int:
@@ -95,7 +97,7 @@ def build_hull(points) -> HullMesh:
         vertex_indices=ch.vertices.copy(),
         eps=HULL_EPS_RTOL * diag,
     )
-    _validate(mesh)
+    mesh.buried = _validate(mesh)
     return mesh
 
 
@@ -107,7 +109,7 @@ def _edge_keys(mesh: HullMesh) -> np.ndarray:
     return e[:, 0] * len(mesh.points) + e[:, 1]
 
 
-def _validate(mesh: HullMesh) -> None:
+def _validate(mesh: HullMesh) -> np.ndarray:
     f = mesh.facets
     # one int64 key per undirected edge: a 1-d unique instead of a row-wise one
     _, counts = np.unique(_edge_keys(mesh), return_counts=True)
@@ -120,10 +122,11 @@ def _validate(mesh: HullMesh) -> None:
     # vertices lie on their incident facets by construction; only points the
     # hull did not keep can possibly stick out
     inner = np.setdiff1d(np.arange(len(mesh.points)), mesh.vertex_indices)
-    if len(inner):
-        worst = float(np.max(signed_distance(mesh, mesh.points[inner])))
-        if worst > mesh.eps:
-            raise CurveHullError(f"input point lies {worst:.3g} outside its own hull")
+    depth = signed_distance(mesh, mesh.points[inner])
+    worst = float(depth.max(initial=-np.inf))
+    if worst > mesh.eps:
+        raise CurveHullError(f"input point lies {worst:.3g} outside its own hull")
+    return inner[depth < -mesh.eps]
 
 
 def signed_distance(mesh: HullMesh, p) -> np.ndarray | float:

@@ -114,32 +114,40 @@ def _tree_sum(parts) -> float:
     return vals[0]
 
 
+def _upper_blocks(left: np.ndarray, right: np.ndarray, below: float):
+    """Yield (s, left[s:t] @ right[:, s:]) for row blocks s:t of _CHUNK_ROWS rows.
+
+    Block entry (r, c) is pair (s + r, s + c); the diagonal and lower triangle
+    are set to below. All blocks share one _CHUNK_ROWS x n buffer, so memory
+    is O(n) and a block is valid only until the next one is yielded.
+    """
+    n = len(left)
+    lower = np.tri(_CHUNK_ROWS, dtype=bool)  # diagonal and below
+    buf = np.empty(min(_CHUNK_ROWS, n) * n)
+    for s in range(0, n, _CHUNK_ROWS):
+        t = min(s + _CHUNK_ROWS, n)
+        # a contiguous view, so that matmul writes into buf without a temporary
+        blk = buf[: (t - s) * (n - s)].reshape(t - s, n - s)
+        np.matmul(left[s:t], right[:, s:], out=blk)
+        np.copyto(blk[:, : t - s], below, where=lower[: t - s, : t - s])
+        yield s, blk
+
+
 def _abs_double_sum(points: np.ndarray) -> float:
     """sum over all ordered pairs (i, j) of |V_ij|, in O(n) memory.
 
     With the factors of tetra_volume_matrix, 6 V = A B^T. V_ij = V_ji
     (swapping the two edges is an even permutation of the tetra's four
-    points) and V_ii = 0, so the sum is twice the sum over i < j. Row block
-    s:t of that upper triangle is one product A[s:t] @ B^T[:, s:], written
-    into one reused _CHUNK_ROWS x n buffer and made absolute in place; the
-    block's diagonal and lower triangle are zeroed before it is summed.
+    points) and V_ii = 0, so the sum is twice the sum over i < j: the
+    _upper_blocks of A B^T, with the diagonal and lower triangle zeroed,
+    made absolute in place and summed one block at a time.
 
     The block layout and the pairwise combination tree of _tree_sum depend
     only on n, so the bits do not depend on the BLAS thread count.
     """
     n = len(points)
     a, bt = _tetra_factors(points, np.arange(n), np.arange(n))
-    lower = np.tri(_CHUNK_ROWS, dtype=bool)  # diagonal and below
-    buf = np.empty(min(_CHUNK_ROWS, n) * n)
-    parts = []
-    for s in range(0, n, _CHUNK_ROWS):
-        t = min(s + _CHUNK_ROWS, n)
-        # a contiguous view, so that matmul writes into buf without a temporary
-        blk = buf[: (t - s) * (n - s)].reshape(t - s, n - s)
-        np.matmul(a[s:t], bt[:, s:], out=blk)
-        np.abs(blk, out=blk)
-        np.copyto(blk[:, : t - s], 0.0, where=lower[: t - s, : t - s])
-        parts.append(float(blk.sum()))
+    parts = [float(np.abs(blk, out=blk).sum()) for _, blk in _upper_blocks(a, bt, 0.0)]
     return 2.0 * _tree_sum(parts) / 6.0
 
 
@@ -259,33 +267,24 @@ def _near_chords(points: np.ndarray, p: np.ndarray, delta: float) -> tuple:
     asin(h / |q_j|) at r_i and r_j (h <= delta the distance), so the angle
     between q_i and -q_j is at most 2 asin(delta / d_min), i.e.
     u_i . u_j <= 2 (delta / d_min)^2 - 1. The screen keeps the upper-triangle
-    pairs meeting that bound (plus _SCREEN_SLACK for rounding), one row
-    block at a time in a reused buffer. If d_min <= delta every pair is a
-    candidate. The candidates then take the point-to-segment distance test
-    op for op as a full scan would, so the product that screens them only
-    decides which pairs are tested: the hits do not depend on BLAS.
+    pairs meeting that bound (plus _SCREEN_SLACK for rounding), one of
+    _upper_blocks at a time. If d_min <= delta every pair is a candidate.
+    The candidates then take the point-to-segment distance test op for op
+    as a full scan would, so the product that screens them only decides
+    which pairs are tested: the hits do not depend on BLAS.
     """
     n = len(points)
     q = points - p
     d = np.linalg.norm(q, axis=1)
     d_min = float(d.min())
-    screen = d_min > delta
-    if screen:
+    if d_min > delta:
         ut = (q / d[:, None]).T.copy()  # 3 x n, so column slices feed matmul
         bound = 2.0 * (delta / d_min) ** 2 - 1.0 + _SCREEN_SLACK
     else:
-        bound = 0.0  # every block is filled with -1 below: all pairs pass
-    lower = np.tri(_CHUNK_ROWS, dtype=bool)  # diagonal and below
-    buf = np.empty(min(_CHUNK_ROWS, n) * n)
+        ut = np.zeros((1, n))  # every product is 0 <= bound: all pairs pass
+        bound = 0.0
     hits_i, hits_j = [], []
-    for s in range(0, n, _CHUNK_ROWS):
-        t = min(s + _CHUNK_ROWS, n)
-        blk = buf[: (t - s) * (n - s)].reshape(t - s, n - s)
-        if screen:
-            np.matmul(ut[:, s:t].T, ut[:, s:], out=blk)
-        else:
-            blk.fill(-1.0)
-        np.copyto(blk[:, : t - s], np.inf, where=lower[: t - s, : t - s])
+    for s, blk in _upper_blocks(ut.T, ut, np.inf):
         # 1-d nonzero: on a 2-d mask numpy's nonzero is about 10x slower
         rows, cols = np.divmod(np.flatnonzero(blk <= bound), n - s)
         iu, ju = rows + s, cols + s

@@ -89,10 +89,12 @@ def test_volume_convexity_gate(capsys):
 
 def test_volume_gates_planarity_before_the_vertex_stencil(square_file, capsys):
     # 4 points are too few for the 8-point Frenet stencil (exit 2), but the
-    # planarity gate runs first and refuses the square with exit 1
-    code, rep = cli_json(capsys, "volume", square_file)
-    assert code == 1
-    assert rep["error"]["gate"] == "planarity"
+    # planarity gate runs first and refuses the square with exit 1; volume
+    # and converge share the gate order
+    for command in ("volume", "converge"):
+        code, rep = cli_json(capsys, command, square_file)
+        assert code == 1, command
+        assert rep["error"]["gate"] == "planarity", command
 
 
 def _ellipse_volume(tmp_path):

@@ -233,8 +233,26 @@ def test_convexity_non_extreme_matches_per_point_loop():
     ]
     res = is_convex_curve(sc, hull=mesh)
     assert expected
+    assert mesh.buried.tolist() == expected
     assert res.non_extreme == expected
     assert all(type(i) is int for i in res.non_extreme)
+
+
+def test_convexity_plane_tests_each_non_vertex_sample_once(monkeypatch):
+    import curvehull.hull as hull_module
+
+    sc = sample_uniform(gallery.get("trefoil").curve, 500)
+    n_vertices = build_hull(sc.points).n_vertices
+    rows = []
+
+    def counting(mesh, p):
+        rows.append(np.asarray(p).reshape(-1, 3).shape[0])
+        return signed_distance(mesh, p)
+
+    monkeypatch.setattr(hull_module, "signed_distance", counting)
+    res = is_convex_curve(sc)
+    assert res.non_extreme
+    assert sum(rows) == sc.n - n_vertices
 
 
 def test_convexity_with_a_prebuilt_hull_matches_on_a_nearly_planar_loop():
