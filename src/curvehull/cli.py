@@ -44,25 +44,32 @@ _GATE_PROFILE_MIN = 512    # min sample count for the analytic vertex gate
 _THREADS_HELP = "accepted for compatibility; changes neither the result nor the work"
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    return obj
+def _json_default(obj):
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()  # a numpy scalar's tolist() is its item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(_json_safe(report), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
 
 
 def _stderr_timing(phases: dict) -> None:
     rounded = {k: round(v * 1000.0, 3) for k, v in phases.items()}
     print(f"# timing_ms {json.dumps(rounded, sort_keys=True)}", file=sys.stderr)
+
+
+def _multiplicity(text: str) -> int:
+    """The --m argument: a covering multiplicity, an integer of at least 1."""
+    try:
+        m = int(text)
+    except ValueError:
+        m = 0
+    if m < 1:
+        raise argparse.ArgumentTypeError(
+            f"covering multiplicity must be an integer >= 1, got {text!r}"
+        )
+    return m
 
 
 def load_polyline(path) -> SampledCurve:
@@ -77,9 +84,12 @@ def load_polyline(path) -> SampledCurve:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected three numbers, got {raw!r}")
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: non-finite coordinate in {text!r}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no points found")
     pts = np.asarray(rows)
@@ -423,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="hull volume by the double-sum formula, with gates")
     add_common(p)
-    p.add_argument("--m", type=int, default=4, help="covering multiplicity (default 4)")
+    p.add_argument("--m", type=_multiplicity, default=4, help="covering multiplicity (default 4)")
     p.add_argument("--verify", action="store_true", help="cross-check against the hull oracle")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
     p.add_argument("--skip-convexity", action="store_true", help="skip the convexity gate")
@@ -441,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="125,250,500,1000,2000",
         help="comma-separated sample counts (default 125,250,500,1000,2000)",
     )
-    p.add_argument("--m", type=int, default=4, help="covering multiplicity (default 4)")
+    p.add_argument("--m", type=_multiplicity, default=4, help="covering multiplicity (default 4)")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")
@@ -479,7 +489,7 @@ def main(argv=None) -> int:
                 "error": {
                     "gate": exc.gate,
                     "message": str(exc),
-                    **_json_safe(exc.details),
+                    **exc.details,
                 },
             }
         )

@@ -8,10 +8,14 @@ Provides canonical witnesses for the volume formula and its hypotheses:
 * ellipse(a, b) -- planar, routes to the area path.
 * wobble(k) -- (cos t, sin t, sin kt), k odd >= 3: convex but with 2k sign
   changes, the standard counterexample to applying the formula blindly.
-* trefoil -- non-convex knotted curve, for negative tests.
+* trefoil -- ((2 + cos 3t) cos 2t, (2 + cos 3t) sin 2t, sin 3t): non-convex
+  knotted curve, for negative tests.
 
+Every coordinate is a trigonometric polynomial, so one rule (_fourier)
+gives the position and the exact first, second and third derivatives.
 Entries are addressed by name with optional parameters,
-e.g. "baseball:a=1,b=0.15,c=0.7" or "wobble:k=5".
+e.g. "baseball:a=1,b=0.15,c=0.7" or "wobble:k=5"; a value must be finite,
+and an integer parameter (wobble's k) must be integral.
 """
 
 from __future__ import annotations
@@ -46,144 +50,44 @@ class GalleryEntry:
         return f"{self.name}:{args}"
 
 
-def _saddle() -> AnalyticCurve:
-    def pos(t):
-        return np.stack([np.cos(t), np.sin(t), np.cos(2 * t)], axis=-1)
+def _fourier(name: str, x_terms, y_terms, z_terms) -> AnalyticCurve:
+    """A closed curve whose x, y and z are trigonometric polynomials.
 
-    def d1(t):
-        return np.stack([-np.sin(t), np.cos(t), -2 * np.sin(2 * t)], axis=-1)
+    Each axis is a list of terms (k, c, s), ascending in k, each meaning
+    c cos(kt) + s sin(kt); an axis with no terms is zero. The m-th derivative
+    of a term turns (c, s) a quarter turn m times, (c, s) -> (s, -c), and
+    scales it by the integer k**m, multiplied into the coefficient once. Zero
+    coefficients are left out and the rest summed in order, so every callback
+    rounds exactly as its closed form written out by hand.
+    """
 
-    def d2(t):
-        return np.stack([-np.cos(t), -np.sin(t), -4 * np.cos(2 * t)], axis=-1)
+    def derivative(m: int):
+        plan = []  # per axis: (coefficient, wave, k) for each nonzero term
+        for terms in (x_terms, y_terms, z_terms):
+            row = []
+            for k, c, s in terms:
+                for _ in range(m):
+                    c, s = s, -c
+                row += [(k**m * v, wave, k) for v, wave in ((c, np.cos), (s, np.sin)) if v]
+            plan.append(row)
 
-    def d3(t):
-        return np.stack([np.sin(t), -np.cos(t), 8 * np.sin(2 * t)], axis=-1)
+        def evaluate(t):
+            coords = []
+            for row in plan:
+                parts = [coef * wave(k * t) for coef, wave, k in row]
+                coords.append(sum(parts[1:], parts[0]) if parts else np.zeros_like(t))
+            return np.stack(coords, axis=-1)
 
-    return AnalyticCurve(pos, TWO_PI, d1, d2, d3, name="saddle")
+        return evaluate
 
-
-def _baseball(a: float, b: float, c: float) -> AnalyticCurve:
-    def pos(t):
-        return np.stack(
-            [
-                a * np.cos(t) + b * np.cos(3 * t),
-                a * np.sin(t) - b * np.sin(3 * t),
-                c * np.sin(2 * t),
-            ],
-            axis=-1,
-        )
-
-    def d1(t):
-        return np.stack(
-            [
-                -a * np.sin(t) - 3 * b * np.sin(3 * t),
-                a * np.cos(t) - 3 * b * np.cos(3 * t),
-                2 * c * np.cos(2 * t),
-            ],
-            axis=-1,
-        )
-
-    def d2(t):
-        return np.stack(
-            [
-                -a * np.cos(t) - 9 * b * np.cos(3 * t),
-                -a * np.sin(t) + 9 * b * np.sin(3 * t),
-                -4 * c * np.sin(2 * t),
-            ],
-            axis=-1,
-        )
-
-    def d3(t):
-        return np.stack(
-            [
-                a * np.sin(t) + 27 * b * np.sin(3 * t),
-                -a * np.cos(t) + 27 * b * np.cos(3 * t),
-                -8 * c * np.cos(2 * t),
-            ],
-            axis=-1,
-        )
-
-    return AnalyticCurve(pos, TWO_PI, d1, d2, d3, name="baseball")
-
-
-def _ellipse(a: float, b: float) -> AnalyticCurve:
-    def pos(t):
-        return np.stack([a * np.cos(t), b * np.sin(t), np.zeros_like(t)], axis=-1)
-
-    def d1(t):
-        return np.stack([-a * np.sin(t), b * np.cos(t), np.zeros_like(t)], axis=-1)
-
-    def d2(t):
-        return np.stack([-a * np.cos(t), -b * np.sin(t), np.zeros_like(t)], axis=-1)
-
-    def d3(t):
-        return np.stack([a * np.sin(t), -b * np.cos(t), np.zeros_like(t)], axis=-1)
-
-    return AnalyticCurve(pos, TWO_PI, d1, d2, d3, name="ellipse")
+    position, d1, d2, d3 = (derivative(m) for m in range(4))
+    return AnalyticCurve(position, TWO_PI, d1, d2, d3, name=name)
 
 
 def _wobble(k: int) -> AnalyticCurve:
     if k < 3 or k % 2 == 0:
         raise ValueError(f"wobble frequency k must be odd and >= 3, got {k}")
-
-    def pos(t):
-        return np.stack([np.cos(t), np.sin(t), np.sin(k * t)], axis=-1)
-
-    def d1(t):
-        return np.stack([-np.sin(t), np.cos(t), k * np.cos(k * t)], axis=-1)
-
-    def d2(t):
-        return np.stack([-np.cos(t), -np.sin(t), -(k**2) * np.sin(k * t)], axis=-1)
-
-    def d3(t):
-        return np.stack([np.sin(t), -np.cos(t), -(k**3) * np.cos(k * t)], axis=-1)
-
-    return AnalyticCurve(pos, TWO_PI, d1, d2, d3, name="wobble")
-
-
-def _trefoil() -> AnalyticCurve:
-    def pos(t):
-        rho = 2 + np.cos(3 * t)
-        return np.stack([rho * np.cos(2 * t), rho * np.sin(2 * t), np.sin(3 * t)], axis=-1)
-
-    def d1(t):
-        rho = 2 + np.cos(3 * t)
-        dr = -3 * np.sin(3 * t)
-        c2, s2 = np.cos(2 * t), np.sin(2 * t)
-        return np.stack(
-            [dr * c2 - 2 * rho * s2, dr * s2 + 2 * rho * c2, 3 * np.cos(3 * t)], axis=-1
-        )
-
-    def d2(t):
-        rho = 2 + np.cos(3 * t)
-        dr = -3 * np.sin(3 * t)
-        ddr = -9 * np.cos(3 * t)
-        c2, s2 = np.cos(2 * t), np.sin(2 * t)
-        return np.stack(
-            [
-                ddr * c2 - 4 * dr * s2 - 4 * rho * c2,
-                ddr * s2 + 4 * dr * c2 - 4 * rho * s2,
-                -9 * np.sin(3 * t),
-            ],
-            axis=-1,
-        )
-
-    def d3(t):
-        rho = 2 + np.cos(3 * t)
-        dr = -3 * np.sin(3 * t)
-        ddr = -9 * np.cos(3 * t)
-        dddr = 27 * np.sin(3 * t)
-        c2, s2 = np.cos(2 * t), np.sin(2 * t)
-        return np.stack(
-            [
-                dddr * c2 - 6 * ddr * s2 - 12 * dr * c2 + 8 * rho * s2,
-                dddr * s2 + 6 * ddr * c2 - 12 * dr * s2 - 8 * rho * c2,
-                -27 * np.cos(3 * t),
-            ],
-            axis=-1,
-        )
-
-    return AnalyticCurve(pos, TWO_PI, d1, d2, d3, name="trefoil")
+    return _fourier("wobble", [(1, 1, 0)], [(1, 0, 1)], [(k, 0, 1)])
 
 
 _DEFAULTS = {
@@ -216,7 +120,15 @@ def parse_curve_spec(spec: str):
                 raise KeyError(
                     f"bad parameter {item.strip()!r} for {base!r} (allowed: {allowed})"
                 )
-            params[key] = type(params[key])(float(val))
+            integral = isinstance(params[key], int)
+            try:
+                value = float(val)
+            except ValueError:
+                value = np.nan
+            if not np.isfinite(value) or (integral and not value.is_integer()):
+                kind = "an integer" if integral else "a finite number"
+                raise ValueError(f"{base} parameter {key} must be {kind}, got {val.strip()!r}")
+            params[key] = int(value) if integral else value
     return base, params
 
 
@@ -226,7 +138,7 @@ def get(spec: str) -> GalleryEntry:
     if base == "saddle":
         return GalleryEntry(
             name=base,
-            curve=_saddle(),
+            curve=_fourier("saddle", [(1, 1, 0)], [(1, 0, 1)], [(2, 1, 0)]),
             params=params,
             expected_vertex_count=4,
             expected_convex=True,
@@ -234,7 +146,8 @@ def get(spec: str) -> GalleryEntry:
             description="circle lifted onto the saddle z = x^2 - y^2",
         )
     if base == "baseball":
-        curve = _baseball(**params)
+        a, b, c = params["a"], params["b"], params["c"]
+        curve = _fourier("baseball", [(1, a, 0), (3, b, 0)], [(1, 0, a), (3, 0, -b)], [(2, 0, c)])
         default = params == _DEFAULTS[base]
         return GalleryEntry(
             name=base,
@@ -248,7 +161,7 @@ def get(spec: str) -> GalleryEntry:
     if base == "ellipse":
         return GalleryEntry(
             name=base,
-            curve=_ellipse(**params),
+            curve=_fourier("ellipse", [(1, params["a"], 0)], [(1, 0, params["b"])], []),
             params=params,
             expected_vertex_count=None,
             expected_convex=True,
@@ -267,7 +180,12 @@ def get(spec: str) -> GalleryEntry:
         )
     return GalleryEntry(
         name="trefoil",
-        curve=_trefoil(),
+        curve=_fourier(  # (2 + cos 3t)(cos 2t, sin 2t) expanded, and sin 3t
+            "trefoil",
+            [(1, 0.5, 0), (2, 2, 0), (5, 0.5, 0)],
+            [(1, 0, -0.5), (2, 0, 2), (5, 0, 0.5)],
+            [(3, 0, 1)],
+        ),
         params={},
         expected_vertex_count=None,
         expected_convex=False,

@@ -186,12 +186,15 @@ def hull_volume(
     from vertex_report when given or else from a discrete Frenet profile,
     must equal multiplicity (require_vertex_count) unless force=True skips
     that gate (the number returned then rests on an unverified hypothesis).
-    Convexity is not checked here; require_convex does that.
+    Convexity is not checked here; require_convex does that. A multiplicity
+    below 1 raises ValueError.
 
     with_error_estimate=True also evaluates the sum on every second sample
     and reports |V(n) - V(n/2)| as a resolution error proxy. threads changes
     neither the result nor the work; the sum runs in one thread.
     """
+    if multiplicity < 1:
+        raise ValueError(f"covering multiplicity must be at least 1, got {multiplicity}")
     require_nonplanar(curve)
     if not force:
         report = vertex_report

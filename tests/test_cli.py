@@ -162,6 +162,36 @@ def test_unknown_curve_is_a_usage_error(capsys):
     assert "gallery" in err
 
 
+@pytest.mark.parametrize(
+    "spec, names",
+    [
+        ("wobble:k=3.5", "wobble parameter k"),
+        ("wobble:k=inf", "wobble parameter k"),
+        ("baseball:a=nan", "baseball parameter a"),
+    ],
+    ids=["fractional-k", "infinite-k", "nan-a"],
+)
+def test_bad_gallery_parameter_value_is_a_usage_error(spec, names, capsys):
+    # each must be refused as a usage error before it runs: not truncated to
+    # k = 3, not an OverflowError (exit 1), not a gate refusal of a NaN curve
+    code, out, err = run_cli(capsys, "volume", spec, "--n", "200")
+    assert code == 2
+    assert names in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["volume", "converge"])
+def test_multiplicity_below_one_is_a_usage_error(command, capsys):
+    for m in ("0", "-4"):
+        for force in ([], ["--force"]):
+            with pytest.raises(SystemExit) as info:
+                main([command, "saddle", "--m", m, *force])
+            assert info.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "--m: covering multiplicity must be an integer >= 1" in err
+
+
 # ---------------------------------------------------------------- area
 
 
@@ -323,6 +353,17 @@ def test_polyline_parse_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "volume", str(bad))
     assert code == 2
     assert "expected three numbers" in err
+
+
+def test_polyline_non_finite_coordinate_names_its_line(tmp_path, capsys):
+    for token in ("nan", "inf", "-inf"):
+        bad = tmp_path / f"{token}.txt"
+        bad.write_text(f"# header\n1 0 0\n0 1 0\n0 0 {token}\n-1 0 1\n")
+        with pytest.raises(ValueError, match=f"{bad}:4: non-finite coordinate"):
+            load_polyline(bad)
+        code, out, err = run_cli(capsys, "volume", str(bad))
+        assert code == 2
+        assert f"{bad}:4: non-finite coordinate" in err
 
 
 def test_polyline_loader_closure_and_comments(tmp_path):

@@ -30,6 +30,19 @@ def test_unknown_names_and_parameters_rejected():
         gallery.get("saddle:radius=2")
     with pytest.raises(KeyError):
         gallery.get("wobble:k")
+    # values are checked, not coerced: an integer parameter takes no fraction,
+    # and no parameter takes a non-finite value or a non-number
+    for spec, key in [
+        ("wobble:k=3.5", "wobble parameter k"),
+        ("wobble:k=inf", "wobble parameter k"),
+        ("wobble:k=nan", "wobble parameter k"),
+        ("baseball:a=nan", "baseball parameter a"),
+        ("baseball:c=-inf", "baseball parameter c"),
+        ("ellipse:b=two", "ellipse parameter b"),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            gallery.get(spec)
+    assert gallery.get("wobble:k=5.0").params == {"k": 5}
 
 
 def test_wobble_frequency_must_be_odd():
@@ -102,3 +115,61 @@ def test_exact_derivatives_match_positions():
         assert np.allclose(curve.d2(t), fd2, atol=1e-4), name
         fd3 = (curve.d2(t + h) - curve.d2(t - h)) / (2 * h)
         assert np.allclose(curve.d3(t), fd3, atol=1e-3), name
+
+
+def _same_bits(actual, expected):
+    # array_equal takes -0.0 == 0.0, so compare the signs of zero too
+    return np.array_equal(actual, expected) and np.array_equal(
+        np.signbit(actual), np.signbit(expected)
+    )
+
+
+def test_trigonometric_derivative_rule_rounds_like_the_closed_forms():
+    # each callback must give the bits of its closed form written out by hand:
+    # k**m multiplied into the coefficient once, and no zero terms summed (a
+    # summed 0*cos(t) turns -sin(0) = -0.0 into +0.0)
+    t = np.concatenate([[0.0, -0.0], np.linspace(-7.0, 13.0, 20001)])
+    sin, cos = np.sin, np.cos
+    k = 5
+
+    def baseball(a, b, c):
+        return [
+            lambda t: [a * cos(t) + b * cos(3 * t), a * sin(t) - b * sin(3 * t), c * sin(2 * t)],
+            lambda t: [
+                -a * sin(t) - 3 * b * sin(3 * t),
+                a * cos(t) - 3 * b * cos(3 * t),
+                2 * c * cos(2 * t),
+            ],
+            lambda t: [
+                -a * cos(t) - 9 * b * cos(3 * t),
+                -a * sin(t) + 9 * b * sin(3 * t),
+                -4 * c * sin(2 * t),
+            ],
+            lambda t: [
+                a * sin(t) + 27 * b * sin(3 * t),
+                -a * cos(t) + 27 * b * cos(3 * t),
+                -8 * c * cos(2 * t),
+            ],
+        ]
+
+    closed = {
+        "saddle": [
+            lambda t: [cos(t), sin(t), cos(2 * t)],
+            lambda t: [-sin(t), cos(t), -2 * sin(2 * t)],
+            lambda t: [-cos(t), -sin(t), -4 * cos(2 * t)],
+            lambda t: [sin(t), -cos(t), 8 * sin(2 * t)],
+        ],
+        "baseball": baseball(1.0, 0.15, 0.7),
+        "baseball:b=0.2": baseball(1.0, 0.2, 0.7),  # 3 * (3 * 0.2) != 9 * 0.2
+        "wobble:k=5": [
+            lambda t: [cos(t), sin(t), sin(k * t)],
+            lambda t: [-sin(t), cos(t), k * cos(k * t)],
+            lambda t: [-cos(t), -sin(t), -(k**2) * sin(k * t)],
+            lambda t: [sin(t), -cos(t), -(k**3) * cos(k * t)],
+        ],
+    }
+    for spec, forms in closed.items():
+        curve = gallery.get(spec).curve
+        for m, (callback, form) in enumerate(zip((curve, curve.d1, curve.d2, curve.d3), forms)):
+            assert _same_bits(callback(t), np.stack(form(t), axis=-1)), (spec, m)
+            assert _same_bits(callback(-0.0), np.stack(form(-0.0), axis=-1)), (spec, m)

@@ -151,6 +151,15 @@ def test_volume_gate_rejects_wrong_vertex_count():
     assert hull_volume(sc, force=True).volume > 0
 
 
+def test_volume_multiplicity_must_be_at_least_one(saddle_2000):
+    # m = 0 would divide by zero and m = -4 would give a negative volume
+    for m in (0, -4):
+        for force in (False, True):
+            with pytest.raises(ValueError, match="at least 1"):
+                hull_volume(saddle_2000, multiplicity=m, force=force)
+    assert hull_volume(saddle_2000, multiplicity=1, force=True).volume > 0
+
+
 def test_volume_accepts_precomputed_vertex_report(saddle_curve):
     from curvehull import count_vertices, frenet_profile
 
