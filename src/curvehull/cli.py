@@ -2,7 +2,8 @@
 
 Subcommands: volume, area, converge, diagnose, export-mesh, gallery-list.
 Reports go to stdout as JSON (CSV for converge); timings go to stderr so
-that stdout is byte-identical across repeated runs and thread counts.
+that stdout is byte-identical across repeated runs and thread counts, apart
+from converge's per-row seconds.
 Exit codes: 0 success, 1 validity gate failed, 2 I/O or parse error.
 
 Curves are given either as gallery specs ("saddle", "wobble:k=5") or as
@@ -14,6 +15,7 @@ comments, loop closed implicitly. Probe sampling uses numpy's default_rng
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -50,26 +52,35 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(report: dict) -> None:
+def _emit(command: str, fields: dict) -> None:
+    """Print one report: fields plus the schema version and command name."""
+    report = {"schema": 1, "command": command, **fields}
     print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
 
 
-def _stderr_timing(phases: dict) -> None:
-    rounded = {k: round(v * 1000.0, 3) for k, v in phases.items()}
-    print(f"# timing_ms {json.dumps(rounded, sort_keys=True)}", file=sys.stderr)
+class _PhaseTimer(dict):
+    """Seconds per named phase; `with phase("gates"): ...` times one phase."""
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        t0 = time.perf_counter()
+        yield
+        self[name] = time.perf_counter() - t0
 
 
-def _multiplicity(text: str) -> int:
-    """The --m argument: a covering multiplicity, an integer of at least 1."""
-    try:
-        m = int(text)
-    except ValueError:
-        m = 0
-    if m < 1:
-        raise argparse.ArgumentTypeError(
-            f"covering multiplicity must be an integer >= 1, got {text!r}"
-        )
-    return m
+def _at_least_one(what: str):
+    """An argparse type: an integer of at least 1, called `what` when refused."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= 1, got {text!r}")
+        return value
+
+    return parse
 
 
 def load_polyline(path) -> SampledCurve:
@@ -100,141 +111,116 @@ def load_polyline(path) -> SampledCurve:
 
 
 class _ResolvedCurve:
-    """A curve argument resolved to working samples plus gate inputs.
+    """A curve argument resolved to working samples, gate points and a path.
 
-    For gallery curves the vertex gate runs on an analytic Frenet profile
-    and the working samples come from uniform resampling at n. For polyline
-    files the gates run on the file's own points (they lie on the underlying
-    curve; resampled points sit on chords and would blur torsion), while the
-    double sum runs on the resampled loop when n is given.
+    gate_points are a polyline file's own points, which lie on the underlying
+    curve (resampled points sit on chords and would blur torsion), or else a
+    gallery curve's working samples. path is the curve that resample walks:
+    the gallery curve, or the file's polyline.
     """
 
     def __init__(self, spec: str, n):
-        self.spec = spec
         looks_like_path = os.sep in spec or spec.endswith((".txt", ".xyz", ".poly"))
         if os.path.exists(spec) or looks_like_path:
-            self.entry = None
-            self.gate_curve = load_polyline(spec)
-            self.name = self.gate_curve.name
-            if n is not None and n != self.gate_curve.n:
-                self.samples = self.resample(n)
-            else:
-                self.samples = self.gate_curve
+            self.gate_points = load_polyline(spec)
+            self.path = piecewise_linear(self.gate_points)
+            same_n = n is None or n == self.gate_points.n
+            self.samples = self.gate_points if same_n else self.resample(n)
         else:
             try:
-                self.entry = gallery.get(spec)
+                self.path = gallery.get(spec).curve
             except KeyError:
                 raise KeyError(
                     f"{spec!r} is neither an existing polyline file nor a gallery "
                     f"curve (available: {', '.join(gallery.names())})"
                 ) from None
-            self.name = self.entry.name
-            self.gate_curve = None
-            self.samples = self.resample(n if n is not None else 1000)
+            self.samples = self.gate_points = self.resample(n if n is not None else 1000)
 
     def resample(self, n: int) -> SampledCurve:
-        """n samples uniform in arc length, along the polyline for a file."""
-        if self.entry is not None:
-            return sample_uniform(self.entry.curve, n)
-        return sample_uniform(piecewise_linear(self.gate_curve), n)
+        """n samples uniform in arc length along path."""
+        return sample_uniform(self.path, n)
 
     def vertex_report(self):
-        if self.entry is not None:
+        """Torsion sign count: from exact derivatives for a gallery curve,
+        from the points themselves for a polyline."""
+        if self.path.has_derivatives:
             m = max(self.samples.n, _GATE_PROFILE_MIN)
-            return count_vertices(frenet_profile(self.entry.curve, m))
-        return count_vertices(discrete_frenet_profile(self.gate_curve))
-
-    def convexity_samples(self) -> SampledCurve:
-        return self.gate_curve if self.entry is None else self.samples
+            return count_vertices(frenet_profile(self.path, m))
+        return count_vertices(discrete_frenet_profile(self.gate_points))
 
     def gates(self, m: int, force: bool, skip_convexity: bool = False) -> tuple:
         """Planarity, then the vertex count unless force, then convexity unless
         skip_convexity: the volume formula's gate results, None where skipped."""
         flat = require_nonplanar(self.samples)
         vertex_report = None if force else require_vertex_count(self.vertex_report(), m)
-        convexity = None if skip_convexity else require_convex(self.convexity_samples())
+        convexity = None if skip_convexity else require_convex(self.gate_points)
         return flat, vertex_report, convexity
 
     def oracle_volume(self) -> float:
-        """Reference hull volume from a dense, fixed-resolution point set."""
-        if self.entry is not None:
-            dense = sample_uniform(self.entry.curve, ORACLE_SAMPLES)
-            return hull.mesh_volume(hull.build_hull(dense.points))
-        # a polyline's hull is the hull of its vertices; resampling adds nothing
-        return hull.mesh_volume(hull.build_hull(self.gate_curve.points))
+        """Reference hull volume from a dense, fixed-resolution point set; a
+        polyline's hull is the hull of its vertices, so a file's points serve."""
+        dense = self.resample(ORACLE_SAMPLES) if self.path.has_derivatives else self.gate_points
+        return hull.mesh_volume(hull.build_hull(dense.points))
 
 
-def cmd_volume(args) -> int:
-    phases = {}
-    t0 = time.perf_counter()
-    resolved = _ResolvedCurve(args.curve, args.n)
-    samples = resolved.samples
-    phases["sample"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    flat, vertex_report, convexity = resolved.gates(args.m, args.force, args.skip_convexity)
-    phases["gates"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    result = hull_volume(
-        samples,
-        multiplicity=args.m,
-        threads=args.threads,
-        force=True,  # gates already ran above (or were skipped on request)
-        with_error_estimate=True,
-    )
-    phases["volume"] = time.perf_counter() - t0
-
+def cmd_volume(args, phase) -> int:
+    with phase("sample"):
+        resolved = _ResolvedCurve(args.curve, args.n)
+        samples = resolved.samples
+    with phase("gates"):
+        flat, vertex_report, convexity = resolved.gates(args.m, args.force, args.skip_convexity)
+    with phase("volume"):
+        result = hull_volume(
+            samples,
+            multiplicity=args.m,
+            threads=args.threads,
+            force=True,  # gates already ran above (or were skipped on request)
+            with_error_estimate=True,
+        )
     oracle = gap = None
     if args.verify:
-        t0 = time.perf_counter()
-        oracle = resolved.oracle_volume()
-        gap = abs(result.volume - oracle) / oracle if oracle > 0 else None
-        phases["oracle"] = time.perf_counter() - t0
+        with phase("oracle"):
+            oracle = resolved.oracle_volume()
+            gap = abs(result.volume - oracle) / oracle if oracle > 0 else None
 
-    report = {
-        "schema": 1,
-        "command": "volume",
-        "curve_name": resolved.name,
-        "n": samples.n,
-        "multiplicity_m": args.m,
-        "planarity": flat.as_dict(),
-        "vertex_report": vertex_report.as_dict() if vertex_report else None,
-        "convexity": convexity.is_convex if convexity else None,
-        "non_extreme_count": len(convexity.non_extreme) if convexity else None,
-        "formula_volume": result.as_dict(),
-        "oracle_volume": oracle,
-        "relative_gap": gap,
-        "unverified_hypothesis": bool(args.force),
-    }
-    _emit(report)
-    _stderr_timing(phases)
+    _emit(
+        "volume",
+        {
+            "curve_name": resolved.path.name,
+            "n": samples.n,
+            "multiplicity_m": args.m,
+            "planarity": flat.as_dict(),
+            "vertex_report": vertex_report.as_dict() if vertex_report else None,
+            "convexity": convexity.is_convex if convexity else None,
+            "non_extreme_count": len(convexity.non_extreme) if convexity else None,
+            "formula_volume": result.as_dict(),
+            "oracle_volume": oracle,
+            "relative_gap": gap,
+            "unverified_hypothesis": args.force or args.skip_convexity,
+        },
+    )
     return 0
 
 
-def cmd_area(args) -> int:
-    phases = {}
-    t0 = time.perf_counter()
-    resolved = _ResolvedCurve(args.curve, args.n)
-    samples = resolved.samples
-    area = planar_area_integral(samples)  # refuses a non-planar curve
-    flat = planarity_check(samples)
-    phases["total"] = time.perf_counter() - t0
+def cmd_area(args, phase) -> int:
+    with phase("total"):
+        resolved = _ResolvedCurve(args.curve, args.n)
+        samples = resolved.samples
+        area = planar_area_integral(samples)  # refuses a non-planar curve
+        flat = planarity_check(samples)
     _emit(
+        "area",
         {
-            "schema": 1,
-            "command": "area",
-            "curve_name": resolved.name,
+            "curve_name": resolved.path.name,
             "n": samples.n,
             "planarity": flat.as_dict(),
             "area": area,
-        }
+        },
     )
-    _stderr_timing(phases)
     return 0
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args, phase) -> int:
     try:
         ns = [int(x) for x in args.ns.split(",") if x.strip()]
     except ValueError as exc:
@@ -243,25 +229,26 @@ def cmd_converge(args) -> int:
         raise ValueError("--ns list is empty")
 
     resolved = _ResolvedCurve(args.curve, max(ns))
-    resolved.gates(args.m, args.force)  # before the costly oracle
+    # the whole ladder, before the gates and the costly oracle; a file is
+    # resampled even at its own n
+    ladder = [resolved.resample(n) for n in ns]
+    resolved.gates(args.m, args.force)
     oracle = resolved.oracle_volume()
 
     rows = []
-    for n in ns:
-        samples = resolved.resample(n)  # a file is resampled even at its own n
+    for samples in ladder:
         t0 = time.perf_counter()
         result = hull_volume(samples, multiplicity=args.m, threads=args.threads, force=True)
         seconds = time.perf_counter() - t0
         gap = abs(result.volume - oracle) / oracle
-        rows.append((n, result.volume, oracle, gap, seconds))
+        rows.append((samples.n, result.volume, oracle, gap, seconds))
 
     if args.json:
         _emit(
+            "converge",
             {
-                "schema": 1,
-                "command": "converge",
-                "curve_name": resolved.name,
-                "oracle_samples": ORACLE_SAMPLES if resolved.entry is not None else None,
+                "curve_name": resolved.path.name,
+                "oracle_samples": ORACLE_SAMPLES if resolved.path.has_derivatives else None,
                 "rows": [
                     {
                         "n": n,
@@ -272,7 +259,7 @@ def cmd_converge(args) -> int:
                     }
                     for n, v, o, g, s in rows
                 ],
-            }
+            },
         )
     else:
         print("n,formula_volume,oracle_volume,relative_gap,seconds")
@@ -281,73 +268,67 @@ def cmd_converge(args) -> int:
     return 0
 
 
-def cmd_diagnose(args) -> int:
-    phases = {}
-    t0 = time.perf_counter()
-    resolved = _ResolvedCurve(args.curve, args.n)
-    samples = resolved.samples
-    mesh = hull.build_hull(samples.points)  # planar input rejects here
-    phases["hull"] = time.perf_counter() - t0
+def cmd_diagnose(args, phase) -> int:
+    with phase("hull"):
+        resolved = _ResolvedCurve(args.curve, args.n)
+        samples = resolved.samples
+        mesh = hull.build_hull(samples.points)  # planar input rejects here
 
-    t0 = time.perf_counter()
-    vertex_report = resolved.vertex_report()
-    gate_samples = resolved.convexity_samples()
-    # the hull of samples is the hull the convexity check would build
-    convexity = is_convex_curve(gate_samples, hull=mesh if gate_samples is samples else None)
-    support = hull.support_polygons(mesh)
-    inequality = hull.four_vertex_inequality_report(
-        vertex_count=vertex_report.vertex_count,
-        support_count=support.count,
-    )
-    phases["structure"] = time.perf_counter() - t0
+    with phase("structure"):
+        vertex_report = resolved.vertex_report()
+        gate_points = resolved.gate_points
+        # the hull of samples is the hull the convexity check would build
+        convexity = is_convex_curve(gate_points, hull=mesh if gate_points is samples else None)
+        support = hull.support_polygons(mesh)
+        inequality = hull.four_vertex_inequality_report(
+            vertex_count=vertex_report.vertex_count,
+            support_count=support.count,
+        )
 
     # sign classification over a subsampled index grid
-    t0 = time.perf_counter()
-    n = samples.n
-    stride = max(1, n // 64)
-    grid = np.arange(0, n, stride)
-    labels = quadrature.classify_pairs(samples, grid, grid)[0]
-    labels = labels[grid[:, None] != grid[None, :]]  # off the diagonal
-    classification = {
-        "grid_stride": int(stride),
-        "pairs": int(labels.size),
-        **{k: int((labels == k).sum()) for k in ("interior", "boundary", "degenerate")},
-    }
-    phases["classify"] = time.perf_counter() - t0
+    with phase("classify"):
+        n = samples.n
+        stride = max(1, n // 64)
+        grid = np.arange(0, n, stride)
+        labels = quadrature.classify_pairs(samples, grid, grid)[0]
+        labels = labels[grid[:, None] != grid[None, :]]  # off the diagonal
+        classification = {
+            "grid_stride": int(stride),
+            "pairs": int(labels.size),
+            **{k: int((labels == k).sum()) for k in ("interior", "boundary", "degenerate")},
+        }
 
     # covering multiplicity over seeded random interior probes
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(args.seed)
-    lo = samples.points.min(axis=0)
-    hi = samples.points.max(axis=0)
-    margin = PROBE_MARGIN_RTOL * samples.total_length
-    histogram = {}
-    outside = near_boundary = chord_failures = evaluated = attempts = 0
-    cap = args.probes * 1000
-    while evaluated < args.probes and attempts < cap:
-        attempts += 1
-        p = rng.uniform(lo, hi)
-        sd = hull.signed_distance(mesh, p)
-        if sd >= -mesh.eps:
-            outside += 1
-            continue
-        if sd > -margin:
-            near_boundary += 1
-            continue
-        evaluated += 1
-        try:
-            m = quadrature.estimate_covering_multiplicity(samples, p, mesh=mesh)
-        except CurveHullError:
-            chord_failures += 1
-            continue
-        histogram[m] = histogram.get(m, 0) + 1
-    phases["probes"] = time.perf_counter() - t0
+    with phase("probes"):
+        rng = np.random.default_rng(args.seed)
+        lo = samples.points.min(axis=0)
+        hi = samples.points.max(axis=0)
+        margin = PROBE_MARGIN_RTOL * samples.total_length
+        histogram = {}
+        outside = near_boundary = chord_failures = evaluated = attempts = 0
+        cap = args.probes * 1000
+        while evaluated < args.probes and attempts < cap:
+            attempts += 1
+            p = rng.uniform(lo, hi)
+            sd = hull.signed_distance(mesh, p)
+            if sd >= -mesh.eps:
+                outside += 1
+                continue
+            if sd > -margin:
+                near_boundary += 1
+                continue
+            evaluated += 1
+            try:
+                m = quadrature.estimate_covering_multiplicity(samples, p, mesh=mesh)
+            except CurveHullError:
+                chord_failures += 1
+                continue
+            histogram[m] = histogram.get(m, 0) + 1
 
     _emit(
+        "diagnose",
         {
-            "schema": 1,
-            "command": "diagnose",
-            "curve_name": resolved.name,
+            "curve_name": resolved.path.name,
             "n": samples.n,
             "seed": args.seed,
             "vertex_report": vertex_report.as_dict(),
@@ -364,37 +345,34 @@ def cmd_diagnose(args) -> int:
                 "rejected_near_boundary": near_boundary,
                 "chord_failures": chord_failures,
             },
-        }
+        },
     )
-    _stderr_timing(phases)
     return 0
 
 
-def cmd_export_mesh(args) -> int:
+def cmd_export_mesh(args, phase) -> int:
     resolved = _ResolvedCurve(args.curve, args.n)
     mesh = hull.build_hull(resolved.samples.points)
     hull.save_obj(mesh, args.path)
     _emit(
+        "export-mesh",
         {
-            "schema": 1,
-            "command": "export-mesh",
-            "curve_name": resolved.name,
+            "curve_name": resolved.path.name,
             "path": str(args.path),
             "v_lines": int(len(mesh.points)),
             "f_lines": int(mesh.n_facets),
             "hull_vertices": int(mesh.n_vertices),
-        }
+        },
     )
     return 0
 
 
-def cmd_gallery_list(args) -> int:
+def cmd_gallery_list(args, phase) -> int:
     entries = [gallery.get(name) for name in gallery.names()]
     if args.json:
         _emit(
+            "gallery-list",
             {
-                "schema": 1,
-                "command": "gallery-list",
                 "curves": [
                     {
                         "name": e.name,
@@ -406,7 +384,7 @@ def cmd_gallery_list(args) -> int:
                     }
                     for e in entries
                 ],
-            }
+            },
         )
     else:
         for e in entries:
@@ -421,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convex hull volume of closed space curves by chord-pair summation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    multiplicity = _at_least_one("covering multiplicity")
 
     def add_common(p):
         p.add_argument("curve", help="gallery spec (e.g. saddle, wobble:k=5) or polyline file")
@@ -433,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="hull volume by the double-sum formula, with gates")
     add_common(p)
-    p.add_argument("--m", type=_multiplicity, default=4, help="covering multiplicity (default 4)")
+    p.add_argument("--m", type=multiplicity, default=4, help="covering multiplicity (default 4)")
     p.add_argument("--verify", action="store_true", help="cross-check against the hull oracle")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
     p.add_argument("--skip-convexity", action="store_true", help="skip the convexity gate")
@@ -451,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="125,250,500,1000,2000",
         help="comma-separated sample counts (default 125,250,500,1000,2000)",
     )
-    p.add_argument("--m", type=_multiplicity, default=4, help="covering multiplicity (default 4)")
+    p.add_argument("--m", type=multiplicity, default=4, help="covering multiplicity (default 4)")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")
@@ -459,7 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="vertex count, convexity, multiplicity histogram")
     add_common(p)
-    p.add_argument("--probes", type=int, default=100, help="random interior probes")
+    p.add_argument(
+        "--probes", type=_at_least_one("probe count"), default=100, help="random interior probes"
+    )
     p.add_argument("--seed", type=int, default=42, help="probe RNG seed (PCG64)")
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_diagnose)
@@ -479,25 +460,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    phase = _PhaseTimer()
     try:
-        return args.func(args)
+        code = args.func(args, phase)
     except GateError as exc:
-        _emit(
-            {
-                "schema": 1,
-                "command": args.command,
-                "error": {
-                    "gate": exc.gate,
-                    "message": str(exc),
-                    **exc.details,
-                },
-            }
-        )
+        _emit(args.command, {"error": {"gate": exc.gate, "message": str(exc), **exc.details}})
         return 1
     except (OSError, ValueError, KeyError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
+    if phase:
+        rounded = {k: round(v * 1000.0, 3) for k, v in phase.items()}
+        print(f"# timing_ms {json.dumps(rounded, sort_keys=True)}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -310,38 +310,28 @@ def count_vertices(profile: FrenetProfile) -> VertexReport:
     if profile.n < 64:
         raise ValueError(f"need a profile with >= 64 samples, got {profile.n}")
     tau = profile.tau
-    kappa = profile.kappa
     max_tau = float(np.max(np.abs(tau)))
-    max_kappa = float(np.max(kappa))
-    min_kappa = float(np.min(kappa))
-    if max_tau < PLANAR_TAU_FLOOR * max_kappa:
-        return VertexReport(
-            vertex_count=0,
-            vertex_params=[],
-            is_planar=True,
-            min_kappa=min_kappa,
-            max_abs_tau=max_tau,
-            degenerate_samples=int(np.sum(profile.degenerate)),
-        )
-    eps = TAU_HYSTERESIS_RTOL * max_tau
-    idx = np.flatnonzero(np.abs(tau) > eps)
-    signs = np.sign(tau[idx])
-    flips = np.flatnonzero(signs != np.roll(signs, -1))
-    period = float(profile.params[-1] + (profile.params[1] - profile.params[0]))
+    is_planar = max_tau < PLANAR_TAU_FLOOR * float(np.max(profile.kappa))
     params = []
-    for k in flips:
-        a = idx[k]
-        b = idx[(k + 1) % len(idx)]
-        ta, tb = profile.params[a], profile.params[b]
-        if b < a:  # transition wraps past the end of the parameter interval
-            tb = tb + period
-        frac = tau[a] / (tau[a] - tau[b])
-        params.append(float(ta + frac * (tb - ta)) % period)
+    if not is_planar:
+        eps = TAU_HYSTERESIS_RTOL * max_tau
+        idx = np.flatnonzero(np.abs(tau) > eps)
+        signs = np.sign(tau[idx])
+        flips = np.flatnonzero(signs != np.roll(signs, -1))
+        period = float(profile.params[-1] + (profile.params[1] - profile.params[0]))
+        for k in flips:
+            a = idx[k]
+            b = idx[(k + 1) % len(idx)]
+            ta, tb = profile.params[a], profile.params[b]
+            if b < a:  # transition wraps past the end of the parameter interval
+                tb = tb + period
+            frac = tau[a] / (tau[a] - tau[b])
+            params.append(float(ta + frac * (tb - ta)) % period)
     return VertexReport(
-        vertex_count=len(flips),
+        vertex_count=len(params),
         vertex_params=sorted(params),
-        is_planar=False,
-        min_kappa=min_kappa,
+        is_planar=is_planar,
+        min_kappa=float(np.min(profile.kappa)),
         max_abs_tau=max_tau,
         degenerate_samples=int(np.sum(profile.degenerate)),
     )
@@ -430,13 +420,6 @@ class ConvexityResult:
     is_convex: bool
     non_extreme: list
     n: int
-
-    def as_dict(self) -> dict:
-        return {
-            "is_convex": self.is_convex,
-            "non_extreme": [int(i) for i in self.non_extreme],
-            "non_extreme_count": len(self.non_extreme),
-        }
 
 
 def is_convex_curve(curve: SampledCurve, hull=None) -> ConvexityResult:

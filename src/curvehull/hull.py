@@ -314,13 +314,8 @@ class InequalityReport:
         }
 
 
-def four_vertex_inequality_report(
-    vertex_count,
-    support_count,
-    kink_count: int = 0,
-    tangent_arc_count: int = 0,
-) -> InequalityReport:
-    """Evaluate V + 2K + 2d - (4 + P); nonnegative slack means satisfied.
+def four_vertex_inequality_report(vertex_count, support_count) -> InequalityReport:
+    """Evaluate V + 2K + 2d - (4 + P) with K = d = 0; nonnegative slack means satisfied.
 
     vertex_count may be a plain integer or a VertexReport (planar reports
     are rejected: torsion sign counting is meaningless there). Likewise
@@ -334,12 +329,12 @@ def four_vertex_inequality_report(
         vertex_count = vertex_count.vertex_count
     if hasattr(support_count, "count"):
         support_count = support_count.count
-    slack = vertex_count + 2 * kink_count + 2 * tangent_arc_count - 4 - support_count
+    slack = vertex_count - 4 - support_count
     return InequalityReport(
         vertex_count=vertex_count,
-        kink_count=kink_count,
+        kink_count=0,
         support_count=support_count,
-        tangent_arc_count=tangent_arc_count,
+        tangent_arc_count=0,
         satisfied=slack >= 0,
         slack=slack,
     )

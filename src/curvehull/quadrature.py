@@ -174,7 +174,6 @@ def hull_volume(
     multiplicity: int = 4,
     threads: int = 1,
     force: bool = False,
-    vertex_report=None,
     with_error_estimate: bool = False,
 ) -> VolumeResult:
     """Hull volume of a closed loop by the absolute double sum over chords.
@@ -182,11 +181,10 @@ def hull_volume(
     The formula divides the sum of |V_ij| by the covering multiplicity, which
     is 4 exactly when the loop is convex with four torsion sign changes, so
     that hypothesis is checked first by the gates of the curves module:
-    planar input is refused (require_nonplanar), and the torsion sign count,
-    from vertex_report when given or else from a discrete Frenet profile,
-    must equal multiplicity (require_vertex_count) unless force=True skips
-    that gate (the number returned then rests on an unverified hypothesis).
-    Convexity is not checked here; require_convex does that. A multiplicity
+    planar input is refused (require_nonplanar), and the torsion sign count
+    of a discrete Frenet profile must equal multiplicity (require_vertex_count)
+    unless force=True skips that gate (the number returned then rests on an
+    unverified hypothesis). Convexity is not checked here; require_convex does that. A multiplicity
     below 1 raises ValueError.
 
     with_error_estimate=True also evaluates the sum on every second sample
@@ -197,10 +195,7 @@ def hull_volume(
         raise ValueError(f"covering multiplicity must be at least 1, got {multiplicity}")
     require_nonplanar(curve)
     if not force:
-        report = vertex_report
-        if report is None:
-            report = count_vertices(discrete_frenet_profile(curve))
-        require_vertex_count(report, multiplicity)
+        require_vertex_count(count_vertices(discrete_frenet_profile(curve)), multiplicity)
     vol = _abs_double_sum(curve.points) / multiplicity
     est = None
     if with_error_estimate and curve.n >= 8 and curve.n % 2 == 0:

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,10 @@ import numpy as np
 import pytest
 
 import curvehull
+import curvehull.cli as cli
 from curvehull.cli import load_polyline, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +79,13 @@ def test_volume_force_marks_hypothesis_unverified(capsys):
     assert code == 0
     assert rep["unverified_hypothesis"] is True
     assert rep["vertex_report"] is None
+
+
+def test_volume_skip_convexity_marks_hypothesis_unverified(capsys):
+    code, rep = cli_json(capsys, "volume", "saddle", "--n", "300", "--skip-convexity")
+    assert code == 0
+    assert rep["convexity"] is None
+    assert rep["unverified_hypothesis"] is True
 
 
 def test_volume_convexity_gate(capsys):
@@ -250,6 +262,18 @@ def test_converge_empty_list_is_usage_error(capsys):
     assert code == 2
 
 
+def test_converge_checks_every_n_before_the_gates_and_oracle(monkeypatch, capsys):
+    def too_early(self, *args):
+        raise AssertionError("ran before every --ns entry was sampled")
+
+    monkeypatch.setattr(cli._ResolvedCurve, "gates", too_early)
+    monkeypatch.setattr(cli._ResolvedCurve, "oracle_volume", too_early)
+    code, out, err = run_cli(capsys, "converge", "saddle", "--ns", "3,2000")
+    assert code == 2
+    assert out == ""
+    assert "need n >= 4" in err
+
+
 def test_converge_planar_curve_rejected(capsys):
     code, rep = cli_json(capsys, "converge", "ellipse", "--ns", "100,200")
     assert code == 1
@@ -319,6 +343,16 @@ def test_diagnose_seed_changes_probe_stream(capsys):
     assert rep1["probes"]["rejected_outside"] != rep2["probes"]["rejected_outside"]
 
 
+@pytest.mark.parametrize("probes", ["0", "-1"])
+def test_diagnose_probes_below_one_is_a_usage_error(probes, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["diagnose", "saddle", "--n", "200", "--probes", probes])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--probes: probe count must be an integer >= 1" in err
+
+
 # ---------------------------------------------------------------- export-mesh
 
 
@@ -378,6 +412,27 @@ def test_polyline_loader_closure_and_comments(tmp_path):
 
 
 # ---------------------------------------------------------------- misc
+
+
+def readme_commands():
+    """The lines of the fenced block under "## Command line" in README.md."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize(
+    "line", readme_commands(), ids=lambda line: line.partition("#")[0].strip()
+)
+def test_readme_command_exits_as_stated(line, tmp_path, monkeypatch, capsys):
+    # "# exits N" in a line's comment states its exit code; no such comment means 0
+    monkeypatch.setattr(cli, "ORACLE_SAMPLES", 20_000)
+    monkeypatch.chdir(tmp_path)  # export-mesh writes its OBJ to the working directory
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)
+    assert argv[0] == "curvehull"
+    stated = re.search(r"exits (\d+)", comment)
+    code, out, err = run_cli(capsys, *argv[1:])
+    assert code == (int(stated.group(1)) if stated else 0), err
 
 
 def test_gallery_list(capsys):

@@ -160,15 +160,6 @@ def test_volume_multiplicity_must_be_at_least_one(saddle_2000):
     assert hull_volume(saddle_2000, multiplicity=1, force=True).volume > 0
 
 
-def test_volume_accepts_precomputed_vertex_report(saddle_curve):
-    from curvehull import count_vertices, frenet_profile
-
-    sc = sample_uniform(saddle_curve, 300)
-    rep = count_vertices(frenet_profile(saddle_curve, 1024))
-    res = hull_volume(sc, vertex_report=rep)
-    assert res.volume > 0
-
-
 def test_volume_orientation_reversal_invariance(saddle_curve):
     sc = sample_uniform(saddle_curve, 400)
     rev = SampledCurve.from_points(sc.points[::-1])
