@@ -11,14 +11,13 @@ from. Here we count hits directly by scanning all chords through a point.
 import numpy as np
 
 from curvehull import (
-    ChordSearchError,
     build_hull,
+    covering_histogram,
     estimate_covering_multiplicity,
     gallery,
     hull_volume,
     mesh_volume,
     sample_uniform,
-    signed_distance,
 )
 
 sc = sample_uniform(gallery.get("saddle").curve, 2000)
@@ -26,26 +25,16 @@ mesh = build_hull(sc.points)
 
 print("saddle, a few handpicked interior points:")
 for p in ([0, 0, 0], [0.3, 0.1, 0.0], [-0.2, 0.4, 0.1], [0.0, 0.0, 0.6]):
-    m = estimate_covering_multiplicity(sc, np.array(p, dtype=float), mesh=mesh)
+    m = estimate_covering_multiplicity(sc, np.array(p, dtype=float), mesh)
     print(f"  {p}: multiplicity {m}")
 
 def probe_histogram(sampled, hull_mesh, probes, seed):
-    # uniform box draws, keeping points a safe distance inside the hull:
-    # right at the boundary a grazing chord can split or drop a cluster
-    rng = np.random.default_rng(seed)
-    lo, hi = sampled.points.min(axis=0), sampled.points.max(axis=0)
-    margin = 0.01 * sampled.total_length
-    hist = {}
-    while sum(hist.values()) < probes:
-        p = rng.uniform(lo, hi)
-        if signed_distance(hull_mesh, p) > -margin:
-            continue
-        try:
-            m = estimate_covering_multiplicity(sampled, p, mesh=hull_mesh)
-        except ChordSearchError:
-            m = 0  # interior, yet no chord passes anywhere near
-        hist[m] = hist.get(m, 0) + 1
-    return dict(sorted(hist.items()))
+    # the probes of `curvehull diagnose`: uniform box draws kept a safe
+    # distance inside the hull, where a grazing chord cannot split or drop a
+    # cluster; a probe that meets no chord at all is counted as m = 0
+    hist, counters = covering_histogram(sampled, hull_mesh, probes, seed)
+    failures = counters["chord_failures"]
+    return {0: failures, **hist} if failures else hist
 
 
 print(f"\n50 random saddle probes: {probe_histogram(sc, mesh, 50, seed=42)}")

@@ -55,6 +55,7 @@ from .quadrature import (
     VolumeResult,
     classify_adjacent_pair,
     classify_pairs,
+    covering_histogram,
     estimate_covering_multiplicity,
     hull_volume,
     planar_area_integral,
@@ -100,6 +101,7 @@ __all__ = [
     "classify_adjacent_pair",
     "classify_pairs",
     "estimate_covering_multiplicity",
+    "covering_histogram",
     "planar_area_integral",
     "gallery",
     "CurveHullError",

@@ -37,11 +37,10 @@ from .curves import (
     require_vertex_count,
     sample_uniform,
 )
-from .errors import CurveHullError, GateError
+from .errors import GateError
 from .quadrature import hull_volume, planar_area_integral
 
 ORACLE_SAMPLES = 200_000   # hull oracle resolution for --verify and converge
-PROBE_MARGIN_RTOL = 0.01   # min probe clearance vs loop length in diagnose
 _GATE_PROFILE_MIN = 512    # min sample count for the analytic vertex gate
 _THREADS_HELP = "accepted for compatibility; changes neither the result nor the work"
 
@@ -68,16 +67,16 @@ class _PhaseTimer(dict):
         self[name] = time.perf_counter() - t0
 
 
-def _at_least_one(what: str):
-    """An argparse type: an integer of at least 1, called `what` when refused."""
+def _at_least(low: int, what: str):
+    """An argparse type: an integer of at least low, called `what` when refused."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = 0
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be an integer >= 1, got {text!r}")
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= {low}, got {text!r}")
         return value
 
     return parse
@@ -300,30 +299,7 @@ def cmd_diagnose(args, phase) -> int:
 
     # covering multiplicity over seeded random interior probes
     with phase("probes"):
-        rng = np.random.default_rng(args.seed)
-        lo = samples.points.min(axis=0)
-        hi = samples.points.max(axis=0)
-        margin = PROBE_MARGIN_RTOL * samples.total_length
-        histogram = {}
-        outside = near_boundary = chord_failures = evaluated = attempts = 0
-        cap = args.probes * 1000
-        while evaluated < args.probes and attempts < cap:
-            attempts += 1
-            p = rng.uniform(lo, hi)
-            sd = hull.signed_distance(mesh, p)
-            if sd >= -mesh.eps:
-                outside += 1
-                continue
-            if sd > -margin:
-                near_boundary += 1
-                continue
-            evaluated += 1
-            try:
-                m = quadrature.estimate_covering_multiplicity(samples, p, mesh=mesh)
-            except CurveHullError:
-                chord_failures += 1
-                continue
-            histogram[m] = histogram.get(m, 0) + 1
+        histogram, probes = quadrature.covering_histogram(samples, mesh, args.probes, args.seed)
 
     _emit(
         "diagnose",
@@ -337,14 +313,8 @@ def cmd_diagnose(args, phase) -> int:
             "support_polygons": support.as_dict(),
             "inequality": inequality.as_dict(),
             "pair_classification": classification,
-            "multiplicity_histogram": {str(k): histogram[k] for k in sorted(histogram)},
-            "probes": {
-                "requested": args.probes,
-                "evaluated": evaluated,
-                "rejected_outside": outside,
-                "rejected_near_boundary": near_boundary,
-                "chord_failures": chord_failures,
-            },
+            "multiplicity_histogram": {str(m): count for m, count in histogram.items()},
+            "probes": probes,
         },
     )
     return 0
@@ -399,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convex hull volume of closed space curves by chord-pair summation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    multiplicity = _at_least_one("covering multiplicity")
+    multiplicity = _at_least(1, "covering multiplicity")
 
     def add_common(p):
         p.add_argument("curve", help="gallery spec (e.g. saddle, wobble:k=5) or polyline file")
@@ -439,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="vertex count, convexity, multiplicity histogram")
     add_common(p)
     p.add_argument(
-        "--probes", type=_at_least_one("probe count"), default=100, help="random interior probes"
+        "--probes", type=_at_least(1, "probe count"), default=100, help="random interior probes"
     )
-    p.add_argument("--seed", type=int, default=42, help="probe RNG seed (PCG64)")
+    p.add_argument("--seed", type=_at_least(0, "seed"), default=42, help="probe RNG seed (PCG64)")
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_diagnose)
 

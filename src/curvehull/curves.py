@@ -29,7 +29,6 @@ CLOSURE_RTOL = 1e-6          # |r(0) - r(T)| vs total length
 PLANARITY_RTOL = 1e-9        # plane deviation vs total length
 TAU_HYSTERESIS_RTOL = 1e-7   # torsion sign hysteresis vs max |tau|
 PLANAR_TAU_FLOOR = 1e-9      # max|tau| vs max kappa, below which torsion is noise
-FD_STEP_RTOL = 1e-4          # finite-difference step vs period T
 ARC_TABLE_CHORDS = 20        # arc-length table chords per sample in sample_uniform
 _CROSS_DEGENERATE_RTOL = 1e-10  # |r' x r''| floor vs its max, for torsion
 
@@ -49,11 +48,9 @@ class AnalyticCurve:
     """A parameterized space curve r(t) on [0, period].
 
     position must accept a scalar or 1-d array of parameters and return the
-    corresponding points, shape (3,) or (n, 3). It should be evaluable in a
-    small neighborhood of [0, period] (finite differencing steps slightly
-    outside). d1/d2/d3 are optional exact derivative callbacks with the same
-    calling convention; when present they are used instead of finite
-    differences.
+    corresponding points, shape (3,) or (n, 3). d1/d2/d3 are optional exact
+    derivative callbacks with the same calling convention; frenet_profile
+    needs all three.
     """
 
     position: Callable[[np.ndarray], np.ndarray]
@@ -221,35 +218,21 @@ def _frenet_from_derivatives(params, v1, v2, v3) -> FrenetProfile:
     return FrenetProfile(params=params, kappa=kappa, tau=tau, degenerate=degenerate)
 
 
-def _central_differences(shift, h: float) -> tuple:
-    """Fourth-order central differences (v1, v2, v3) of the first three
-    derivatives, from the values shift(k) k steps of size h away, k = -3..3."""
-    f = {k: shift(k) for k in range(-3, 4)}
-    v1 = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * h)
-    v2 = (-f[-2] + 16 * f[-1] - 30 * f[0] + 16 * f[1] - f[2]) / (12 * h**2)
-    v3 = (f[-3] - 8 * f[-2] + 13 * f[-1] - 13 * f[1] + 8 * f[2] - f[3]) / (8 * h**3)
-    return v1, v2, v3
-
-
 def frenet_profile(curve: AnalyticCurve, n: int) -> FrenetProfile:
     """Sample curvature and torsion at n uniform parameter values.
 
-    kappa = |r' x r''| / |r'|^3 and tau = [r', r'', r'''] / |r' x r''|^2.
-    Exact derivative callbacks are used when the curve carries them; otherwise
-    fourth-order central differences with step h = period * FD_STEP_RTOL.
-    The finite-difference route resolves torsion to roughly 5e-6 in absolute
-    terms (third-derivative roundoff), ample for sign counting.
+    kappa = |r' x r''| / |r'|^3 and tau = [r', r'', r'''] / |r' x r''|^2, from
+    the curve's exact derivative callbacks. A curve without them raises
+    ValueError; discrete_frenet_profile takes the torsion of sampled points.
     """
     if n < 4:
         raise ValueError(f"need n >= 4 samples, got {n}")
+    if not curve.has_derivatives:
+        raise ValueError("curve has no exact derivatives; use discrete_frenet_profile")
     t = np.arange(n) * (curve.period / n)
-    if curve.has_derivatives:
-        v1 = np.asarray(curve.d1(t), dtype=np.float64)
-        v2 = np.asarray(curve.d2(t), dtype=np.float64)
-        v3 = np.asarray(curve.d3(t), dtype=np.float64)
-    else:
-        h = curve.period * FD_STEP_RTOL
-        v1, v2, v3 = _central_differences(lambda k: curve(t + k * h), h)
+    v1 = np.asarray(curve.d1(t), dtype=np.float64)
+    v2 = np.asarray(curve.d2(t), dtype=np.float64)
+    v3 = np.asarray(curve.d3(t), dtype=np.float64)
     return _frenet_from_derivatives(t, v1, v2, v3)
 
 
@@ -265,7 +248,10 @@ def discrete_frenet_profile(curve: SampledCurve) -> FrenetProfile:
     if n < 8:
         raise ValueError(f"need n >= 8 samples for the cyclic stencils, got {n}")
     h = curve.total_length / n
-    v1, v2, v3 = _central_differences(lambda k: np.roll(p, -k, axis=0), h)
+    f = {k: np.roll(p, -k, axis=0) for k in range(-3, 4)}
+    v1 = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * h)
+    v2 = (-f[-2] + 16 * f[-1] - 30 * f[0] + 16 * f[1] - f[2]) / (12 * h**2)
+    v3 = (f[-3] - 8 * f[-2] + 13 * f[-1] - 13 * f[1] + 8 * f[2] - f[3]) / (8 * h**3)
     params = np.arange(n) * h
     return _frenet_from_derivatives(params, v1, v2, v3)
 

@@ -247,7 +247,8 @@ def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
     counts toward P when the samples it touches admit three indices pairwise
     more than 2 apart around the sample cycle. Sample indices refer to positions
     along the input loop, so the distance rule excludes patches explained by
-    consecutive samples alone.
+    consecutive samples alone. Patches come in ascending order of their sorted
+    sample indices, smallest first, not in qhull's facet order.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
@@ -262,7 +263,6 @@ def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
     graph = coo_matrix(
         (np.ones(int(flat.sum()), dtype=np.int8), (t1[flat], t2[flat])), shape=(len(f), len(f))
     )
-    # components are numbered in the order of their smallest facet
     label = connected_components(graph, directed=False)[1]
     sizes = np.bincount(label)
     patches = []
@@ -277,6 +277,7 @@ def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
                     offset=float(mesh.offsets[members[0]]),
                 )
             )
+    patches.sort(key=lambda patch: patch.sample_ids)
     return SupportPolygonReport(
         count=len(patches), patches=patches, coplanar_groups=int(np.count_nonzero(sizes > 1))
     )

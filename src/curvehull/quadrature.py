@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import hull as _hull
 from .curves import (
     SampledCurve,
     count_vertices,
@@ -35,6 +36,7 @@ from .errors import (
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
 CHORD_TOL_FACTOR = 2.0    # chord hit tolerance delta = factor * L / n
 CLUSTER_GAP = 3           # max cyclic index gap within one chord cluster
+PROBE_MARGIN_RTOL = 0.01  # min probe clearance vs loop length in covering_histogram
 _CHUNK_ROWS = 128         # row block size for the double sum and chord search
 _SCREEN_SLACK = 1e-9      # rounding allowance of the angular chord screen
 
@@ -48,20 +50,14 @@ def triple_product(a, b, c):
     return float(r) if r.ndim == 0 else r
 
 
-def signed_tetra_volume(curve: SampledCurve, i: int, j: int, chord_form: bool = False) -> float:
-    """Signed volume V_ij of the tetra on edge i, chord (i, j), and edge j.
-
-    The default anchors the third leg at sample i:
-    (1/6) [r_{i+1} - r_i, r_j - r_i, r_{j+1} - r_i]. With chord_form=True the
-    third leg is edge j itself, (1/6) [r_{i+1} - r_i, r_j - r_i, r_{j+1} - r_j];
-    the two expressions are algebraically identical.
-    """
+def signed_tetra_volume(curve: SampledCurve, i: int, j: int) -> float:
+    """Signed volume V_ij of the tetra on edge i, chord (i, j), and edge j:
+    (1/6) [r_{i+1} - r_i, r_j - r_i, r_{j+1} - r_i]."""
     r = curve.points
     n = len(r)
     ri, ri1 = r[i % n], r[(i + 1) % n]
     rj, rj1 = r[j % n], r[(j + 1) % n]
-    tail = rj1 - rj if chord_form else rj1 - ri
-    return triple_product(ri1 - ri, rj - ri, tail) / 6.0
+    return triple_product(ri1 - ri, rj - ri, rj1 - ri) / 6.0
 
 
 def _tetra_factors(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
@@ -327,7 +323,7 @@ def _count_chord_clusters(i: np.ndarray, j: np.ndarray, n: int) -> int:
 def estimate_covering_multiplicity(
     curve: SampledCurve,
     point,
-    mesh=None,
+    mesh: _hull.HullMesh,
     delta: Optional[float] = None,
 ) -> int:
     """Count chord clusters passing near an interior point.
@@ -341,15 +337,12 @@ def estimate_covering_multiplicity(
     screen, then the distance test on the candidates) and needs O(n) extra
     memory; see _near_chords.
 
-    The probe must lie strictly inside the hull; pass a prebuilt mesh to
-    avoid reconstructing it per probe. Raises OutsideHullError otherwise and
-    ChordSearchError when no chord passes within delta.
+    mesh is the hull of the samples (build_hull(curve.points)), built once
+    for any number of probes. The probe must lie strictly inside it; raises
+    OutsideHullError otherwise and ChordSearchError when no chord passes
+    within delta.
     """
-    from . import hull as _hull
-
     p = np.asarray(point, dtype=np.float64)
-    if mesh is None:
-        mesh = _hull.build_hull(curve.points)
     d = _hull.signed_distance(mesh, p)
     if d >= -mesh.eps:
         raise OutsideHullError(
@@ -365,6 +358,53 @@ def estimate_covering_multiplicity(
             f"no chord within {delta:.3g} of the probe; sampling too coarse"
         )
     return _count_chord_clusters(i, j, n)
+
+
+def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, seed) -> tuple:
+    """Covering multiplicities at seeded random points inside the hull.
+
+    Draws points uniformly in the samples' bounding box from numpy's
+    default_rng(seed) (PCG64), at most 1000 * probes of them. A draw not
+    strictly inside mesh is rejected as outside, and one within
+    PROBE_MARGIN_RTOL * L of its boundary as near the boundary: there a
+    grazing chord can split or drop a cluster. Every other draw is a probe
+    for estimate_covering_multiplicity, until probes have been evaluated; a
+    probe that meets no chord within delta is a chord failure and enters
+    no bin. Returns ({m: count} in ascending m, counters), the counters
+    being requested, evaluated, rejected_outside, rejected_near_boundary
+    and chord_failures.
+    """
+    rng = np.random.default_rng(seed)
+    lo = curve.points.min(axis=0)
+    hi = curve.points.max(axis=0)
+    margin = PROBE_MARGIN_RTOL * curve.total_length
+    histogram = {}
+    outside = near_boundary = chord_failures = evaluated = attempts = 0
+    while evaluated < probes and attempts < probes * 1000:
+        attempts += 1
+        p = rng.uniform(lo, hi)
+        sd = _hull.signed_distance(mesh, p)
+        if sd >= -mesh.eps:
+            outside += 1
+            continue
+        if sd > -margin:
+            near_boundary += 1
+            continue
+        evaluated += 1
+        try:
+            m = estimate_covering_multiplicity(curve, p, mesh)
+        except ChordSearchError:
+            chord_failures += 1
+            continue
+        histogram[m] = histogram.get(m, 0) + 1
+    counters = {
+        "requested": probes,
+        "evaluated": evaluated,
+        "rejected_outside": outside,
+        "rejected_near_boundary": near_boundary,
+        "chord_failures": chord_failures,
+    }
+    return dict(sorted(histogram.items())), counters
 
 
 # ----------------------------------------------------------------------------

@@ -353,6 +353,40 @@ def test_diagnose_probes_below_one_is_a_usage_error(probes, capsys):
     assert "--probes: probe count must be an integer >= 1" in err
 
 
+def test_diagnose_seed_below_zero_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["diagnose", "saddle", "--n", "200", "--probes", "2", "--seed", "-1"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--seed: seed must be an integer >= 0, got '-1'" in err
+
+
+@pytest.mark.parametrize(
+    "spec, n, failures", [("saddle", 500, 0), ("wobble:k=3", 400, 5)], ids=["saddle", "wobble3"]
+)
+def test_covering_histogram_is_what_diagnose_reports(spec, n, failures, capsys):
+    code, rep = cli_json(capsys, "diagnose", spec, "--n", str(n), "--seed", "42")
+    assert code == 0
+    samples = curvehull.sample_uniform(curvehull.gallery.get(spec).curve, n)
+    mesh = curvehull.build_hull(samples.points)
+    histogram, counters = curvehull.covering_histogram(samples, mesh, 100, 42)
+    assert list(histogram) == sorted(histogram)
+    assert {str(m): count for m, count in histogram.items()} == rep["multiplicity_histogram"]
+    assert counters == rep["probes"]
+    # a probe that meets no chord is counted, not binned
+    assert counters["chord_failures"] == failures
+    assert sum(histogram.values()) == counters["evaluated"] - failures == 100 - failures
+
+
+def test_diagnose_lists_support_patches_by_smallest_sample(capsys):
+    code, rep = cli_json(capsys, "diagnose", "wobble:k=3", "--n", "400", "--probes", "5")
+    assert code == 0
+    patches = rep["support_polygons"]["patch_sample_ids"]
+    assert len(patches) == 2
+    assert patches == sorted(patches)
+
+
 # ---------------------------------------------------------------- export-mesh
 
 

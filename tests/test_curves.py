@@ -134,19 +134,11 @@ def test_helix_curvature_and_torsion_exact_derivatives():
     assert np.allclose(prof.tau, 0.5, atol=1e-6)
 
 
-def test_helix_finite_difference_fallback():
-    prof = frenet_profile(helix_curve(with_derivatives=False), 256)
-    # third-derivative roundoff at the fixed step limits torsion to ~5e-6
-    assert np.allclose(prof.kappa, 0.5, atol=1e-6)
-    assert np.allclose(prof.tau, 0.5, atol=5e-5)
-
-
-def test_finite_differences_agree_with_exact_derivatives(saddle_curve):
-    blind = AnalyticCurve(saddle_curve.position, saddle_curve.period)
-    exact = frenet_profile(saddle_curve, 512)
-    approx = frenet_profile(blind, 512)
-    assert np.allclose(approx.kappa, exact.kappa, atol=1e-7)
-    assert np.allclose(approx.tau, exact.tau, atol=5e-5)
+def test_frenet_profile_needs_exact_derivatives():
+    # a curve known only by its positions has no torsion route of its own:
+    # its samples go to discrete_frenet_profile
+    with pytest.raises(ValueError, match="discrete_frenet_profile"):
+        frenet_profile(helix_curve(with_derivatives=False), 256)
 
 
 def test_saddle_torsion_changes_sign_four_times(saddle_curve):

@@ -1,9 +1,11 @@
-"""Whole stdout of the demos that print pair labels and support patches.
+"""Whole stdout of the demos that print probe histograms, pair labels and
+support patches.
 
-Demo 04 prints the sign classification of every adjacent chord pair on a
-saddle loop (classify_adjacent_pair) and demo 06 the support patches of the
-gallery (support_polygons). Each runs in its own process; its stdout must
-equal the text below byte for byte.
+Demo 03 prints covering multiplicities at chosen and random probes
+(covering_histogram), demo 04 the sign classification of every adjacent
+chord pair on a saddle loop (classify_adjacent_pair) and demo 06 the support
+patches of the gallery (support_polygons). Each runs in its own process; its
+stdout must equal the text below byte for byte.
 """
 
 import os
@@ -14,6 +16,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+DEMO_03 = (
+    "saddle, a few handpicked interior points:\n"
+    "  [0, 0, 0]: multiplicity 4\n"
+    "  [0.3, 0.1, 0.0]: multiplicity 4\n"
+    "  [-0.2, 0.4, 0.1]: multiplicity 4\n"
+    "  [0.0, 0.0, 0.6]: multiplicity 4\n"
+    "\n"
+    "50 random saddle probes: {4: 50}\n"
+    "50 random wobble(3) probes: {0: 5, 4: 44, 6: 1}\n"
+    "wobble(3) m=4 formula 4.2666 vs hull 4.6765 (off by 8.8%)\n"
+)
 
 DEMO_04 = (
     "n = 201: {'interior': 39006, 'boundary': 197, 'degenerate': 796}\n"
@@ -39,10 +53,11 @@ DEMO_06 = (
 @pytest.mark.parametrize(
     "script, want",
     [
+        ("03_chord_covering_multiplicity.py", DEMO_03),
         ("04_sign_flips_find_the_hull.py", DEMO_04),
         ("06_gallery_inequality_audit.py", DEMO_06),
     ],
-    ids=["demo04", "demo06"],
+    ids=["demo03", "demo04", "demo06"],
 )
 def test_demo_stdout_is_unchanged(script, want):
     env = dict(os.environ)

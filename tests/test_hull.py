@@ -244,6 +244,7 @@ def test_support_polygons_match_union_find_reference(name, n):
     mesh = build_hull(sample_uniform(gallery.get(name).curve, n).points)
     rep = support_polygons(mesh)
     count, multi, patches = union_find_support_polygons(mesh)
+    patches.sort(key=lambda patch: patch[1])  # by sorted sample indices, smallest first
     assert (rep.count, rep.coplanar_groups) == (count, multi)
     assert rep.as_dict()["patch_sample_ids"] == [touched for _, touched, _, _ in patches]
     for got, (members, touched, normal, offset) in zip(rep.patches, patches):

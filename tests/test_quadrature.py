@@ -70,15 +70,6 @@ def test_corner_tetra_signed_volume_is_one_sixth():
     assert abs(signed_tetra_volume(loop, 0, 2) - 1.0 / 6.0) <= 1e-15
 
 
-def test_both_tetra_forms_agree_on_curve_pairs(saddle_2000):
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        i, j = rng.integers(0, saddle_2000.n, size=2)
-        v1 = signed_tetra_volume(saddle_2000, int(i), int(j))
-        v2 = signed_tetra_volume(saddle_2000, int(i), int(j), chord_form=True)
-        assert v1 == pytest.approx(v2, abs=1e-15)
-
-
 def test_matrix_matches_per_pair_values():
     sc = sample_uniform(gallery.get("saddle").curve, 40)
     mat = tetra_volume_matrix(sc)
