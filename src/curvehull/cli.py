@@ -172,7 +172,6 @@ def cmd_volume(args, phase) -> int:
         result = hull_volume(
             samples,
             multiplicity=args.m,
-            threads=args.threads,
             force=True,  # gates already ran above (or were skipped on request)
             with_error_estimate=True,
         )
@@ -237,7 +236,7 @@ def cmd_converge(args, phase) -> int:
     rows = []
     for samples in ladder:
         t0 = time.perf_counter()
-        result = hull_volume(samples, multiplicity=args.m, threads=args.threads, force=True)
+        result = hull_volume(samples, multiplicity=args.m, force=True)
         seconds = time.perf_counter() - t0
         gap = abs(result.volume - oracle) / oracle
         rows.append((samples.n, result.volume, oracle, gap, seconds))
@@ -271,7 +270,8 @@ def cmd_diagnose(args, phase) -> int:
     with phase("hull"):
         resolved = _ResolvedCurve(args.curve, args.n)
         samples = resolved.samples
-        mesh = hull.build_hull(samples.points)  # planar input rejects here
+        require_nonplanar(samples)
+        mesh = hull.build_hull(samples.points)
 
     with phase("structure"):
         vertex_report = resolved.vertex_report()
@@ -322,6 +322,7 @@ def cmd_diagnose(args, phase) -> int:
 
 def cmd_export_mesh(args, phase) -> int:
     resolved = _ResolvedCurve(args.curve, args.n)
+    require_nonplanar(resolved.samples)
     mesh = hull.build_hull(resolved.samples.points)
     hull.save_obj(mesh, args.path)
     _emit(

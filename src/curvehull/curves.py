@@ -353,8 +353,6 @@ class PlanarityResult:
     is_planar: bool
     max_deviation: float
     rel_deviation: float
-    normal: Optional[np.ndarray]
-    centroid: np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -372,16 +370,13 @@ def planarity_check(curve: SampledCurve) -> PlanarityResult:
     """
     pts = curve.points
     centroid = pts.mean(axis=0)
-    _, svals, vt = np.linalg.svd(pts - centroid, full_matrices=False)
-    normal = vt[-1]
-    dev = float(np.max(np.abs((pts - centroid) @ normal)))
+    vt = np.linalg.svd(pts - centroid, full_matrices=False)[2]
+    dev = float(np.max(np.abs((pts - centroid) @ vt[-1])))
     rel = dev / curve.total_length
     return PlanarityResult(
         is_planar=rel < PLANARITY_RTOL,
         max_deviation=dev,
         rel_deviation=rel,
-        normal=normal,
-        centroid=centroid,
     )
 
 
@@ -413,29 +408,15 @@ def is_convex_curve(curve: SampledCurve, hull=None) -> ConvexityResult:
 
     A sample that is not a hull vertex still counts as extreme if it lies
     within the hull tolerance of the boundary (collinear or coplanar runs);
-    only points buried strictly inside are flagged. Planar loops are handled
-    through a 2-d hull in the fitted plane. Pass the prebuilt HullMesh of the
-    samples to skip rebuilding it; the result is the same.
+    only points buried strictly inside are flagged. A planar loop has no 3-d
+    hull and raises PlanarCurveError (require_nonplanar). Pass the prebuilt
+    HullMesh of the samples to skip rebuilding it; the result is the same.
     """
     from . import hull as _hull  # local import: hull builds on scipy
 
-    pts = curve.points
-    n = len(pts)
-    flat = planarity_check(curve)
-    if flat.is_planar:
-        from scipy.spatial import ConvexHull as _CH
-
-        basis = _plane_basis(flat.normal)
-        uv = (pts - flat.centroid) @ basis.T
-        ch = _CH(uv)
-        eps = 1e-9 * float(np.linalg.norm(uv.max(axis=0) - uv.min(axis=0)))
-        vertex_idx = set(int(v) for v in ch.vertices)
-        dist = uv @ ch.equations[:, :2].T + ch.equations[:, 2]
-        inner = dist.max(axis=1)  # signed distance to the boundary, <= 0 inside
-        buried = [i for i in range(n) if i not in vertex_idx and inner[i] < -eps]
-    else:
-        buried = (_hull.build_hull(pts) if hull is None else hull).buried.tolist()
-    return ConvexityResult(is_convex=not buried, non_extreme=buried, n=n)
+    require_nonplanar(curve)
+    buried = (_hull.build_hull(curve.points) if hull is None else hull).buried.tolist()
+    return ConvexityResult(is_convex=not buried, non_extreme=buried, n=curve.n)
 
 
 def require_convex(curve: SampledCurve) -> ConvexityResult:
@@ -455,12 +436,3 @@ def require_convex(curve: SampledCurve) -> ConvexityResult:
         )
     return conv
 
-
-def _plane_basis(normal: np.ndarray) -> np.ndarray:
-    """Two orthonormal vectors spanning the plane with the given normal."""
-    a = np.zeros(3)
-    a[np.argmin(np.abs(normal))] = 1.0
-    u = np.cross(normal, a)
-    u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
-    return np.vstack([u, v])

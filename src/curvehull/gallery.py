@@ -195,7 +195,8 @@ def get(spec: str) -> GalleryEntry:
 
 
 def verify_all_extreme(entry, n: int = 500) -> bool:
-    """Sample the curve and check every sample is extreme in its hull."""
+    """Sample the curve and check every sample is extreme in its hull; a
+    planar entry raises PlanarCurveError."""
     if isinstance(entry, str):
         entry = get(entry)
     sampled = sample_uniform(entry.curve, n)

@@ -168,7 +168,6 @@ class VolumeResult:
 def hull_volume(
     curve: SampledCurve,
     multiplicity: int = 4,
-    threads: int = 1,
     force: bool = False,
     with_error_estimate: bool = False,
 ) -> VolumeResult:
@@ -184,8 +183,7 @@ def hull_volume(
     below 1 raises ValueError.
 
     with_error_estimate=True also evaluates the sum on every second sample
-    and reports |V(n) - V(n/2)| as a resolution error proxy. threads changes
-    neither the result nor the work; the sum runs in one thread.
+    and reports |V(n) - V(n/2)| as a resolution error proxy.
     """
     if multiplicity < 1:
         raise ValueError(f"covering multiplicity must be at least 1, got {multiplicity}")

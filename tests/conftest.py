@@ -52,6 +52,14 @@ def rng():
     return np.random.default_rng(42)
 
 
+def lifted_flower_points() -> np.ndarray:
+    """A five-lobed flower of 400 points lifted by 4e-9 in z: planar to
+    planarity_check, yet thick enough for build_hull's own coplanarity test."""
+    t = np.arange(400) * (2 * np.pi / 400)
+    r = 1 + 0.3 * np.cos(5 * t)
+    return np.stack([r * np.cos(t), r * np.sin(t), 4e-9 * np.sin(3 * t)], axis=1)
+
+
 def random_rotation(rng) -> np.ndarray:
     """A uniformly random proper rotation matrix."""
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))

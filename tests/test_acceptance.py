@@ -41,7 +41,7 @@ def test_criterion_01_formula_matches_dense_hull_oracle(
     acceptance_record, saddle_2000, saddle_oracle_volume
 ):
     t0 = time.perf_counter()
-    result = hull_volume(saddle_2000, multiplicity=4, threads=1)
+    result = hull_volume(saddle_2000, multiplicity=4)
     elapsed = time.perf_counter() - t0
     gap = abs(result.volume - saddle_oracle_volume) / saddle_oracle_volume
     check(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import lifted_flower_points
 
 import curvehull
 import curvehull.cli as cli
@@ -107,6 +108,25 @@ def test_volume_gates_planarity_before_the_vertex_stencil(square_file, capsys):
         code, rep = cli_json(capsys, command, square_file)
         assert code == 1, command
         assert rep["error"]["gate"] == "planarity", command
+
+
+@pytest.mark.parametrize("curve", ["lifted-flower-file", "ellipse"])
+def test_every_hull_command_refuses_a_planar_loop_with_one_error(curve, tmp_path, capsys):
+    # volume's planarity gate decides for diagnose and export-mesh too; the
+    # flower is thick enough to pass build_hull's own coplanarity test
+    if curve == "ellipse":
+        spec, n = "ellipse", ("--n", "100")
+    else:
+        spec, n = write_polyline(tmp_path / "flower.txt", lifted_flower_points()), ()
+    obj = tmp_path / "hull.obj"
+    errors = []
+    for argv in (("volume", spec), ("diagnose", spec), ("export-mesh", spec, str(obj))):
+        code, rep = cli_json(capsys, *argv, *n)
+        assert code == 1, argv
+        errors.append(rep["error"])
+    assert errors[0]["gate"] == "planarity" and errors[0]["suggestion"] == "area"
+    assert errors == errors[:1] * 3
+    assert not obj.exists()
 
 
 def _ellipse_volume(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from conftest import random_rotation
+from conftest import lifted_flower_points, random_rotation
 
 from curvehull import (
     AnalyticCurve,
     DegenerateCurveError,
     NotClosedError,
+    PlanarCurveError,
     SampledCurve,
     build_hull,
     count_vertices,
@@ -247,23 +248,16 @@ def test_convexity_plane_tests_each_non_vertex_sample_once(monkeypatch):
     assert sum(rows) == sc.n - n_vertices
 
 
-def test_convexity_with_a_prebuilt_hull_matches_on_a_nearly_planar_loop():
-    # a five-lobed flower lifted by 4e-9: planar to planarity_check, yet thick
-    # enough for build_hull; both calls must take the planar path
-    t = np.arange(400) * (2 * np.pi / 400)
-    r = 1 + 0.3 * np.cos(5 * t)
-    pts = np.stack([r * np.cos(t), r * np.sin(t), 4e-9 * np.sin(3 * t)], axis=1)
-    sc = SampledCurve.from_points(pts)
-    assert planarity_check(sc).is_planar
-    res = is_convex_curve(sc)
-    assert len(res.non_extreme) > 0
-    assert is_convex_curve(sc, hull=build_hull(pts)).non_extreme == res.non_extreme
-
-
-def test_convexity_planar_circle():
-    sc = sample_uniform(circle_curve(), 200)
-    res = is_convex_curve(sc)
-    assert res.is_convex
+def test_convexity_refuses_a_planar_loop():
+    # convexity is a question about the 3-d hull; the flower is thick enough
+    # for build_hull, so only the planarity gate can refuse it, hull or not
+    circle = sample_uniform(circle_curve(), 200)
+    pts = lifted_flower_points()
+    flower = SampledCurve.from_points(pts)
+    for sc, hull in ((circle, None), (flower, None), (flower, build_hull(pts))):
+        assert planarity_check(sc).is_planar
+        with pytest.raises(PlanarCurveError, match="use the `area` command"):
+            is_convex_curve(sc, hull=hull)
 
 
 def test_rigid_motion_helpers(rng):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -373,3 +376,25 @@ def test_ball_cloud_hull_vertices_near_sphere():
     mesh = build_hull(pts)
     radii = np.linalg.norm(pts[mesh.vertex_indices], axis=1)
     assert np.min(radii) >= 0.9
+
+
+def _imports_scipy_spatial(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["scipy", "spatial"] for a in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        module = node.module.split(".")
+        return module[:2] == ["scipy", "spatial"] or (
+            module == ["scipy"] and any(a.name == "spatial" for a in node.names)
+        )
+    return False
+
+
+def test_only_hull_module_imports_scipy_spatial():
+    # qhull has one caller module; every other hull goes through build_hull
+    package = Path(__file__).resolve().parents[1] / "src" / "curvehull"
+    importers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if any(map(_imports_scipy_spatial, ast.walk(ast.parse(path.read_text()))))
+    )
+    assert importers == ["hull.py"]

@@ -113,13 +113,6 @@ def test_volume_formula_close_to_oracle(saddle_2000, saddle_oracle_volume):
     assert res.n == 2000
 
 
-def test_volume_thread_count_does_not_change_bits(saddle_2000):
-    v1 = hull_volume(saddle_2000, threads=1, force=True).volume
-    v3 = hull_volume(saddle_2000, threads=3, force=True).volume
-    v7 = hull_volume(saddle_2000, threads=7, force=True).volume
-    assert v1 == v3 == v7
-
-
 def test_volume_error_estimate_matches_half_resolution(saddle_curve):
     sc = sample_uniform(saddle_curve, 500)
     res = hull_volume(sc, with_error_estimate=True)
