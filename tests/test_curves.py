@@ -248,16 +248,23 @@ def test_convexity_plane_tests_each_non_vertex_sample_once(monkeypatch):
     assert sum(rows) == sc.n - n_vertices
 
 
-def test_convexity_refuses_a_planar_loop():
-    # convexity is a question about the 3-d hull; the flower is thick enough
-    # for build_hull, so only the planarity gate can refuse it, hull or not
-    circle = sample_uniform(circle_curve(), 200)
+def test_convexity_with_a_prebuilt_hull_matches_on_a_nearly_planar_loop():
+    # the flower is planar to planarity_check yet thick enough for build_hull,
+    # so only the planarity gate can refuse it, with a prebuilt hull or without
     pts = lifted_flower_points()
-    flower = SampledCurve.from_points(pts)
-    for sc, hull in ((circle, None), (flower, None), (flower, build_hull(pts))):
-        assert planarity_check(sc).is_planar
+    sc = SampledCurve.from_points(pts)
+    assert planarity_check(sc).is_planar
+    for hull in (None, build_hull(pts)):
         with pytest.raises(PlanarCurveError, match="use the `area` command"):
             is_convex_curve(sc, hull=hull)
+
+
+def test_convexity_planar_circle():
+    # convexity is a question about the 3-d hull; a planar loop is refused
+    sc = sample_uniform(circle_curve(), 200)
+    assert planarity_check(sc).is_planar
+    with pytest.raises(PlanarCurveError, match="use the `area` command"):
+        is_convex_curve(sc)
 
 
 def test_rigid_motion_helpers(rng):
