@@ -25,9 +25,10 @@ import numpy as np
 
 from . import gallery, hull, quadrature
 from .curves import (
+    COINCIDENT_RTOL,
     SampledCurve,
     count_vertices,
-    discrete_frenet_profile,
+    discrete_vertex_report,
     frenet_profile,
     is_convex_curve,
     piecewise_linear,
@@ -104,7 +105,7 @@ def load_polyline(path) -> SampledCurve:
         raise ValueError(f"{path}: no points found")
     pts = np.asarray(rows)
     scale = float(np.max(np.abs(pts))) or 1.0
-    if len(pts) > 1 and np.linalg.norm(pts[-1] - pts[0]) <= 1e-12 * scale:
+    if len(pts) > 1 and np.linalg.norm(pts[-1] - pts[0]) <= COINCIDENT_RTOL * scale:
         pts = pts[:-1]  # tolerate an explicitly repeated first point
     return SampledCurve.from_points(pts, name=os.path.basename(str(path)))
 
@@ -145,13 +146,13 @@ class _ResolvedCurve:
         if self.path.has_derivatives:
             m = max(self.samples.n, _GATE_PROFILE_MIN)
             return count_vertices(frenet_profile(self.path, m))
-        return count_vertices(discrete_frenet_profile(self.gate_points))
+        return discrete_vertex_report(self.gate_points)
 
-    def gates(self, m: int, force: bool, skip_convexity: bool = False) -> tuple:
+    def gates(self, force: bool, skip_convexity: bool = False) -> tuple:
         """Planarity, then the vertex count unless force, then convexity unless
         skip_convexity: the volume formula's gate results, None where skipped."""
         flat = require_nonplanar(self.samples)
-        vertex_report = None if force else require_vertex_count(self.vertex_report(), m)
+        vertex_report = None if force else require_vertex_count(self.vertex_report())
         convexity = None if skip_convexity else require_convex(self.gate_points)
         return flat, vertex_report, convexity
 
@@ -167,14 +168,10 @@ def cmd_volume(args, phase) -> int:
         resolved = _ResolvedCurve(args.curve, args.n)
         samples = resolved.samples
     with phase("gates"):
-        flat, vertex_report, convexity = resolved.gates(args.m, args.force, args.skip_convexity)
+        flat, vertex_report, convexity = resolved.gates(args.force, args.skip_convexity)
     with phase("volume"):
-        result = hull_volume(
-            samples,
-            multiplicity=args.m,
-            force=True,  # gates already ran above (or were skipped on request)
-            with_error_estimate=True,
-        )
+        # force: the gates already ran above (or were skipped on request)
+        result = hull_volume(samples, force=True, with_error_estimate=True)
     oracle = gap = None
     if args.verify:
         with phase("oracle"):
@@ -186,7 +183,7 @@ def cmd_volume(args, phase) -> int:
         {
             "curve_name": resolved.path.name,
             "n": samples.n,
-            "multiplicity_m": args.m,
+            "multiplicity_m": quadrature.COVERING_MULTIPLICITY,
             "planarity": flat.as_dict(),
             "vertex_report": vertex_report.as_dict() if vertex_report else None,
             "convexity": convexity.is_convex if convexity else None,
@@ -230,13 +227,13 @@ def cmd_converge(args, phase) -> int:
     # the whole ladder, before the gates and the costly oracle; a file is
     # resampled even at its own n
     ladder = [resolved.resample(n) for n in ns]
-    resolved.gates(args.m, args.force)
+    resolved.gates(args.force)
     oracle = resolved.oracle_volume()
 
     rows = []
     for samples in ladder:
         t0 = time.perf_counter()
-        result = hull_volume(samples, multiplicity=args.m, force=True)
+        result = hull_volume(samples, force=True)
         seconds = time.perf_counter() - t0
         gap = abs(result.volume - oracle) / oracle
         rows.append((samples.n, result.volume, oracle, gap, seconds))
@@ -370,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convex hull volume of closed space curves by chord-pair summation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    multiplicity = _at_least(1, "covering multiplicity")
 
     def add_common(p):
         p.add_argument("curve", help="gallery spec (e.g. saddle, wobble:k=5) or polyline file")
@@ -383,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="hull volume by the double-sum formula, with gates")
     add_common(p)
-    p.add_argument("--m", type=multiplicity, default=4, help="covering multiplicity (default 4)")
     p.add_argument("--verify", action="store_true", help="cross-check against the hull oracle")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
     p.add_argument("--skip-convexity", action="store_true", help="skip the convexity gate")
@@ -401,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="125,250,500,1000,2000",
         help="comma-separated sample counts (default 125,250,500,1000,2000)",
     )
-    p.add_argument("--m", type=multiplicity, default=4, help="covering multiplicity (default 4)")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")

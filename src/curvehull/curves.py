@@ -11,7 +11,7 @@ sample_uniform so that edges are nearly equal in arc length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,10 +27,14 @@ from .errors import (
 # relative tolerances, all scaled by a curve-intrinsic length
 CLOSURE_RTOL = 1e-6          # |r(0) - r(T)| vs total length
 PLANARITY_RTOL = 1e-9        # plane deviation vs total length
+COINCIDENT_RTOL = 1e-12      # two points coincide: distance vs max |coordinate|
 TAU_HYSTERESIS_RTOL = 1e-7   # torsion sign hysteresis vs max |tau|
 PLANAR_TAU_FLOOR = 1e-9      # max|tau| vs max kappa, below which torsion is noise
 ARC_TABLE_CHORDS = 20        # arc-length table chords per sample in sample_uniform
+MIN_PROFILE_SAMPLES = 64     # shortest profile count_vertices counts on
+FOUR_VERTICES = 4            # torsion sign changes the volume formula assumes
 _CROSS_DEGENERATE_RTOL = 1e-10  # |r' x r''| floor vs its max, for torsion
+_FORCE_HINT = "rerun with --force (force=True in hull_volume) to compute anyway"
 
 
 def as_point_array(points) -> np.ndarray:
@@ -109,7 +113,7 @@ class SampledCurve:
             )
         seg = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1)
         scale = float(np.max(np.abs(pts))) or 1.0
-        if np.min(seg) <= 1e-12 * scale:
+        if np.min(seg) <= COINCIDENT_RTOL * scale:
             raise DegenerateCurveError(
                 "consecutive points coincide (zero-length edge)",
                 edge=int(np.argmin(seg)),
@@ -272,14 +276,7 @@ class VertexReport:
     degenerate_samples: int
 
     def as_dict(self) -> dict:
-        return {
-            "vertex_count": self.vertex_count,
-            "vertex_params": [float(v) for v in self.vertex_params],
-            "is_planar": self.is_planar,
-            "min_kappa": self.min_kappa,
-            "max_abs_tau": self.max_abs_tau,
-            "degenerate_samples": self.degenerate_samples,
-        }
+        return asdict(self)
 
 
 def count_vertices(profile: FrenetProfile) -> VertexReport:
@@ -291,10 +288,10 @@ def count_vertices(profile: FrenetProfile) -> VertexReport:
     register. If max |tau| is below PLANAR_TAU_FLOOR times max curvature the
     curve is reported planar and no count is attempted.
 
-    Requires a reasonably dense profile (n >= 64).
+    Requires a reasonably dense profile (n >= MIN_PROFILE_SAMPLES).
     """
-    if profile.n < 64:
-        raise ValueError(f"need a profile with >= 64 samples, got {profile.n}")
+    if profile.n < MIN_PROFILE_SAMPLES:
+        raise ValueError(f"need a profile with >= {MIN_PROFILE_SAMPLES} samples, got {profile.n}")
     tau = profile.tau
     max_tau = float(np.max(np.abs(tau)))
     is_planar = max_tau < PLANAR_TAU_FLOOR * float(np.max(profile.kappa))
@@ -323,23 +320,36 @@ def count_vertices(profile: FrenetProfile) -> VertexReport:
     )
 
 
-def require_vertex_count(report: VertexReport, expected: int) -> VertexReport:
+def discrete_vertex_report(curve: SampledCurve) -> VertexReport:
+    """count_vertices of a loop's own points; VertexCountError when the loop
+    has fewer than MIN_PROFILE_SAMPLES points, too few to count on."""
+    if curve.n < MIN_PROFILE_SAMPLES:
+        raise VertexCountError(
+            f"{curve.n} points are too few to count torsion sign changes, need at "
+            f"least {MIN_PROFILE_SAMPLES}; {_FORCE_HINT}",
+            points=curve.n,
+            minimum=MIN_PROFILE_SAMPLES,
+        )
+    return count_vertices(discrete_frenet_profile(curve))
+
+
+def require_vertex_count(report: VertexReport) -> VertexReport:
     """Vertex-count gate of the volume formula: report, unless it refuses.
 
     Raises PlanarCurveError when the torsion vanishes identically and
-    VertexCountError when it changes sign other than expected times.
+    VertexCountError when it changes sign other than FOUR_VERTICES times.
     """
     if report.is_planar:
         raise PlanarCurveError(
             "torsion vanishes identically, curve is planar; use the `area` command",
             suggestion="area",
         )
-    if report.vertex_count != expected:
+    if report.vertex_count != FOUR_VERTICES:
         raise VertexCountError(
             f"torsion changes sign {report.vertex_count} times, expected "
-            f"{expected}; rerun with --force (force=True in hull_volume) to compute anyway",
+            f"{FOUR_VERTICES}; {_FORCE_HINT}",
             vertex_count=report.vertex_count,
-            expected=expected,
+            expected=FOUR_VERTICES,
         )
     return report
 
@@ -355,23 +365,23 @@ class PlanarityResult:
     rel_deviation: float
 
     def as_dict(self) -> dict:
-        return {
-            "is_planar": self.is_planar,
-            "max_deviation": self.max_deviation,
-            "rel_deviation": self.rel_deviation,
-        }
+        return asdict(self)
+
+
+def plane_deviation(points: np.ndarray) -> float:
+    """Largest distance of the points from their least-squares plane, whose
+    normal is the least singular vector of the centered point cloud."""
+    centroid = points.mean(axis=0)
+    vt = np.linalg.svd(points - centroid, full_matrices=False)[2]
+    return float(np.max(np.abs((points - centroid) @ vt[-1])))
 
 
 def planarity_check(curve: SampledCurve) -> PlanarityResult:
     """Fit the best plane through the samples and measure the worst deviation.
 
-    The plane normal is the least singular vector of the centered point cloud.
-    Planar means max deviation below PLANARITY_RTOL times the loop length.
+    Planar means plane_deviation below PLANARITY_RTOL times the loop length.
     """
-    pts = curve.points
-    centroid = pts.mean(axis=0)
-    vt = np.linalg.svd(pts - centroid, full_matrices=False)[2]
-    dev = float(np.max(np.abs((pts - centroid) @ vt[-1])))
+    dev = plane_deviation(curve.points)
     rel = dev / curve.total_length
     return PlanarityResult(
         is_planar=rel < PLANARITY_RTOL,

@@ -9,12 +9,12 @@ chord-sum formula independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .curves import as_point_array
+from .curves import PLANARITY_RTOL, as_point_array, plane_deviation
 from .errors import CurveHullError, OutsideHullError, PlanarCurveError
 
 HULL_EPS_RTOL = 1e-9  # containment tolerance vs bounding-box diagonal
@@ -57,10 +57,13 @@ def bbox_diagonal(points: np.ndarray) -> float:
 def build_hull(points) -> HullMesh:
     """Construct a validated hull mesh from at least 4 points.
 
-    Coplanar input has no 3-d hull and raises PlanarCurveError. The mesh is
-    checked structurally before being returned: consistent outward winding,
-    every edge shared by exactly two triangles, Euler characteristic 2, and
-    every input point inside or on the boundary within eps.
+    Points within PLANARITY_RTOL bounding-box diagonals of their best plane
+    (plane_deviation) raise PlanarCurveError; a closed loop is at least
+    2 / sqrt(3) diagonals long, so every loop that passes the planarity gate
+    (require_nonplanar) gets a hull. The mesh is checked structurally before
+    being returned: consistent outward winding, every edge shared by exactly
+    two triangles, Euler characteristic 2, and every input point inside or
+    on the boundary within eps.
     """
     pts = as_point_array(points)
     if len(pts) < 4:
@@ -68,12 +71,10 @@ def build_hull(points) -> HullMesh:
     diag = bbox_diagonal(pts)
     if diag <= 0.0:
         raise ValueError("all points coincide")
-    centered = pts - pts.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    if svals[-1] <= 1e-9 * svals[0]:
+    rel = plane_deviation(pts) / diag
+    if rel <= PLANARITY_RTOL:
         raise PlanarCurveError(
-            "point set is (near) coplanar, its hull has no volume",
-            thickness=float(svals[-1]),
+            "point set is (near) coplanar, its hull has no volume", rel_deviation=rel
         )
     try:
         ch = ConvexHull(pts)
@@ -305,14 +306,7 @@ class InequalityReport:
     slack: int
 
     def as_dict(self) -> dict:
-        return {
-            "vertex_count": self.vertex_count,
-            "kink_count": self.kink_count,
-            "support_count": self.support_count,
-            "tangent_arc_count": self.tangent_arc_count,
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
 
 def four_vertex_inequality_report(vertex_count, support_count) -> InequalityReport:

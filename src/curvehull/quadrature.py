@@ -2,13 +2,14 @@
 
 For a uniformly sampled loop the hull volume is recovered as
 
-    volume = (1 / m) * sum over ordered pairs (i, j) of |V_ij|,
+    volume = (1 / 4) * sum over ordered pairs (i, j) of |V_ij|,
 
 where V_ij is the signed volume of the tetrahedron spanned by edge i, the
-chord from sample i to sample j, and edge j, and m is the covering
-multiplicity of the chord map (4 for convex loops with exactly four torsion
-sign changes). The same V_ij signs classify adjacent chord pairs as interior
-or boundary, and chord counting near a probe point estimates m directly.
+chord from sample i to sample j, and edge j, and 4 is the paper's covering
+multiplicity of the chord map, proved for convex loops with exactly four
+torsion sign changes. The same V_ij signs classify adjacent chord pairs as
+interior or boundary, and chord counting near a probe point estimates the
+multiplicity directly.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 from . import hull as _hull
 from .curves import (
     SampledCurve,
-    count_vertices,
-    discrete_frenet_profile,
+    discrete_vertex_report,
     planarity_check,
     require_nonplanar,
     require_vertex_count,
@@ -33,6 +33,7 @@ from .errors import (
     OutsideHullError,
 )
 
+COVERING_MULTIPLICITY = 4  # the paper's divisor: chords cover the hull 4 times
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
 CHORD_TOL_FACTOR = 2.0    # chord hit tolerance delta = factor * L / n
 CLUSTER_GAP = 3           # max cyclic index gap within one chord cluster
@@ -153,51 +154,43 @@ class VolumeResult:
 
     volume: float
     n: int
-    multiplicity: int
     error_estimate: Optional[float] = None
 
     def as_dict(self) -> dict:
         return {
             "volume": self.volume,
             "n": self.n,
-            "multiplicity_m": self.multiplicity,
+            "multiplicity_m": COVERING_MULTIPLICITY,
             "error_estimate": self.error_estimate,
         }
 
 
 def hull_volume(
-    curve: SampledCurve,
-    multiplicity: int = 4,
-    force: bool = False,
-    with_error_estimate: bool = False,
+    curve: SampledCurve, force: bool = False, with_error_estimate: bool = False
 ) -> VolumeResult:
-    """Hull volume of a closed loop by the absolute double sum over chords.
+    """Hull volume of a closed loop: (1/4) times the absolute double sum.
 
-    The formula divides the sum of |V_ij| by the covering multiplicity, which
-    is 4 exactly when the loop is convex with four torsion sign changes, so
-    that hypothesis is checked first by the gates of the curves module:
-    planar input is refused (require_nonplanar), and the torsion sign count
-    of a discrete Frenet profile must equal multiplicity (require_vertex_count)
-    unless force=True skips that gate (the number returned then rests on an
-    unverified hypothesis). Convexity is not checked here; require_convex does that. A multiplicity
-    below 1 raises ValueError.
+    The 1/4 holds for convex loops with four torsion sign changes, so the
+    gates of the curves module run first: planar input is refused
+    (require_nonplanar), and so is a loop whose own points do not show four
+    sign changes (discrete_vertex_report, require_vertex_count) unless
+    force=True skips that gate; the number returned then rests on an
+    unverified hypothesis. Convexity is not checked here; require_convex
+    does that.
 
     with_error_estimate=True also evaluates the sum on every second sample
-    and reports |V(n) - V(n/2)| as a resolution error proxy.
+    and reports |V(n) - V(n/2)| as a resolution error proxy; it is None for
+    odd n and for n below 8.
     """
-    if multiplicity < 1:
-        raise ValueError(f"covering multiplicity must be at least 1, got {multiplicity}")
     require_nonplanar(curve)
     if not force:
-        require_vertex_count(count_vertices(discrete_frenet_profile(curve)), multiplicity)
-    vol = _abs_double_sum(curve.points) / multiplicity
+        require_vertex_count(discrete_vertex_report(curve))
+    vol = _abs_double_sum(curve.points) / COVERING_MULTIPLICITY
     est = None
     if with_error_estimate and curve.n >= 8 and curve.n % 2 == 0:
-        half = _abs_double_sum(curve.points[::2]) / multiplicity
+        half = _abs_double_sum(curve.points[::2]) / COVERING_MULTIPLICITY
         est = abs(vol - half)
-    return VolumeResult(
-        volume=vol, n=curve.n, multiplicity=multiplicity, error_estimate=est
-    )
+    return VolumeResult(volume=vol, n=curve.n, error_estimate=est)
 
 
 # ----------------------------------------------------------------------------

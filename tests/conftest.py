@@ -54,10 +54,22 @@ def rng():
 
 def lifted_flower_points() -> np.ndarray:
     """A five-lobed flower of 400 points lifted by 4e-9 in z: planar to
-    planarity_check, yet thick enough for build_hull's own coplanarity test."""
+    planarity_check (deviation below 1e-9 of its length), though its
+    deviation is above 1e-9 of its bounding-box diagonal, so build_hull
+    alone would mesh it."""
     t = np.arange(400) * (2 * np.pi / 400)
     r = 1 + 0.3 * np.cos(5 * t)
     return np.stack([r * np.cos(t), r * np.sin(t), 4e-9 * np.sin(3 * t)], axis=1)
+
+
+def lifted_circle_points() -> np.ndarray:
+    """A 400-point unit circle with its first point lifted by 1e-8 in z: not
+    planar to planarity_check (deviation 1.58e-9 of its length), though its
+    smallest singular value is below 1e-9 of its largest."""
+    t = np.arange(400) * (2 * np.pi / 400)
+    pts = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    pts[0, 2] = 1e-8
+    return pts
 
 
 def random_rotation(rng) -> np.ndarray:

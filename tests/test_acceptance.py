@@ -41,7 +41,7 @@ def test_criterion_01_formula_matches_dense_hull_oracle(
     acceptance_record, saddle_2000, saddle_oracle_volume
 ):
     t0 = time.perf_counter()
-    result = hull_volume(saddle_2000, multiplicity=4)
+    result = hull_volume(saddle_2000)
     elapsed = time.perf_counter() - t0
     gap = abs(result.volume - saddle_oracle_volume) / saddle_oracle_volume
     check(
@@ -77,7 +77,7 @@ def test_criterion_03_six_sign_changes_break_the_formula(
     acceptance_record, wobble3_curve, capsys
 ):
     sc = sample_uniform(wobble3_curve, 1000)
-    formula = hull_volume(sc, multiplicity=4, force=True).volume
+    formula = hull_volume(sc, force=True).volume
     dense = sample_uniform(wobble3_curve, ORACLE_SAMPLES)
     oracle = mesh_volume(build_hull(dense.points))
     gap = abs(formula - oracle) / oracle

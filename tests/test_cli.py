@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import lifted_flower_points
+from conftest import lifted_circle_points, lifted_flower_points
 
 import curvehull
 import curvehull.cli as cli
@@ -46,6 +47,13 @@ def square_file(tmp_path):
     return write_polyline(
         tmp_path / "square.txt", [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
     )
+
+
+def saddle_file(tmp_path, n):
+    """The saddle (cos t, sin t, cos 2t) at n uniform parameter values."""
+    t = np.arange(n) * (2 * np.pi / n)
+    pts = np.stack([np.cos(t), np.sin(t), np.cos(2 * t)], axis=1)
+    return write_polyline(tmp_path / f"saddle{n}.txt", pts)
 
 
 # ---------------------------------------------------------------- volume
@@ -129,6 +137,49 @@ def test_every_hull_command_refuses_a_planar_loop_with_one_error(curve, tmp_path
     assert not obj.exists()
 
 
+def test_a_loop_the_planarity_gate_accepts_gets_a_hull(tmp_path, capsys):
+    # the lifted circle passes require_nonplanar, so build_hull, which
+    # measures the same plane deviation against the bounding-box diagonal,
+    # must mesh it; area refuses it as a space curve
+    spec = write_polyline(tmp_path / "circle.txt", lifted_circle_points())
+    code, rep = cli_json(capsys, "volume", spec, "--force", "--verify")
+    assert code == 0
+    assert rep["relative_gap"] < 1e-12
+    code, rep = cli_json(capsys, "diagnose", spec, "--probes", "5")
+    assert code == 0
+    assert rep["non_extreme_count"] == 0
+    obj = tmp_path / "hull.obj"
+    code, rep = cli_json(capsys, "export-mesh", spec, str(obj))
+    assert code == 0
+    assert obj.exists()
+    code, rep = cli_json(capsys, "area", spec)
+    assert code == 1
+    assert rep["error"]["gate"] == "planarity"
+
+
+@pytest.mark.parametrize("n", [20, 6])
+def test_coarse_polyline_is_refused_by_the_vertex_gate(n, tmp_path, capsys):
+    # too few points to count torsion sign changes on: a gate refusal
+    # (exit 1) naming the point count and the minimum, not a usage error
+    path = saddle_file(tmp_path, n)
+    for argv in (
+        ("volume", path),
+        ("volume", path, "--n", "100"),
+        ("converge", path, "--ns", "100,200"),
+        ("diagnose", path),
+    ):
+        code, rep = cli_json(capsys, *argv)
+        assert code == 1, argv
+        error = rep["error"]
+        assert error["gate"] == "vertex_count", argv
+        assert (error["points"], error["minimum"]) == (n, 64), argv
+        assert "--force" in error["message"], argv
+    code, rep = cli_json(capsys, "volume", path, "--force")
+    assert code == 0
+    if n == 20:
+        assert rep["formula_volume"]["volume"] == 2.9893408222247353
+
+
 def _ellipse_volume(tmp_path):
     sc = curvehull.sample_uniform(curvehull.gallery.get("ellipse").curve, 100)
     return lambda: curvehull.hull_volume(sc), ("volume", "ellipse", "--n", "100")
@@ -137,6 +188,11 @@ def _ellipse_volume(tmp_path):
 def _wobble3_file_volume(tmp_path):
     sc = curvehull.sample_uniform(curvehull.gallery.get("wobble:k=3").curve, 500)
     path = write_polyline(tmp_path / "wobble3.txt", sc.points)
+    return lambda: curvehull.hull_volume(load_polyline(path)), ("volume", path)
+
+
+def _coarse_file_volume(tmp_path):
+    path = saddle_file(tmp_path, 20)
     return lambda: curvehull.hull_volume(load_polyline(path)), ("volume", path)
 
 
@@ -151,9 +207,10 @@ def _saddle_area(tmp_path):
         (_ellipse_volume, "planarity", ()),
         # the override is spelled both ways: a CLI flag and a library argument
         (_wobble3_file_volume, "vertex_count", ("--force", "force=True")),
+        (_coarse_file_volume, "vertex_count", ("--force", "force=True")),
         (_saddle_area, "planarity", ()),
     ],
-    ids=["ellipse-volume", "wobble3-file-volume", "saddle-area"],
+    ids=["ellipse-volume", "wobble3-file-volume", "coarse-file-volume", "saddle-area"],
 )
 def test_library_and_cli_refuse_with_the_same_words(case, gate, names, tmp_path, capsys):
     library_call, argv = case(tmp_path)
@@ -213,15 +270,16 @@ def test_bad_gallery_parameter_value_is_a_usage_error(spec, names, capsys):
 
 
 @pytest.mark.parametrize("command", ["volume", "converge"])
-def test_multiplicity_below_one_is_a_usage_error(command, capsys):
-    for m in ("0", "-4"):
-        for force in ([], ["--force"]):
-            with pytest.raises(SystemExit) as info:
-                main([command, "saddle", "--m", m, *force])
-            assert info.value.code == 2
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert "--m: covering multiplicity must be an integer >= 1" in err
+def test_multiplicity_flag_is_an_unrecognized_argument(command, capsys):
+    # the divisor and the expected sign-change count are the paper's 4; with
+    # --m 6 wobble(3) used to pass every gate and print a volume 39% low
+    for m in ("6", "4", "0"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "wobble:k=3", "--m", m])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --m" in err
 
 
 # ---------------------------------------------------------------- area
@@ -487,6 +545,23 @@ def test_readme_command_exits_as_stated(line, tmp_path, monkeypatch, capsys):
     stated = re.search(r"exits (\d+)", comment)
     code, out, err = run_cli(capsys, *argv[1:])
     assert code == (int(stated.group(1)) if stated else 0), err
+
+
+def test_readme_documents_exactly_the_parser_flags():
+    # a flag deleted from the parser cannot stay documented, nor a new one
+    # go undocumented
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        flag
+        for p in subparsers.choices.values()
+        for action in p._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) == parsed
 
 
 def test_gallery_list(capsys):

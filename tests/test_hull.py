@@ -54,9 +54,16 @@ def test_octahedron_volume():
 
 
 def test_coplanar_points_rejected():
+    # build_hull refuses by plane_deviation against PLANARITY_RTOL times the
+    # bounding-box diagonal, the planarity gate's statistic; the slab is
+    # 1e-10 thick
     square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
-    with pytest.raises(PlanarCurveError):
-        build_hull(square)
+    slab = np.vstack([square, square + [0, 0, 1e-10]])
+    for points, rel in ((square, 0.0), (slab, 0.5e-10 / np.sqrt(2))):
+        with pytest.raises(PlanarCurveError) as info:
+            build_hull(points)
+        assert set(info.value.details) == {"rel_deviation"}
+        assert info.value.details["rel_deviation"] == pytest.approx(rel, abs=1e-16)
 
 
 def test_too_few_points_rejected():
