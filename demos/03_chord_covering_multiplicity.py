@@ -5,7 +5,8 @@ Why divide by four
 Each interior point of the hull is hit by chords of the curve; for a convex
 loop with four torsion sign changes the chord family covers every interior
 point exactly four times, which is where the 1/4 in the volume formula comes
-from. Here we count hits directly by scanning all chords through a point.
+from. Here we count the chords through a point directly: the ordered edge
+pairs whose tetrahedron holds it.
 """
 
 import numpy as np
@@ -28,23 +29,16 @@ for p in ([0, 0, 0], [0.3, 0.1, 0.0], [-0.2, 0.4, 0.1], [0.0, 0.0, 0.6]):
     m = estimate_covering_multiplicity(sc, np.array(p, dtype=float), mesh)
     print(f"  {p}: multiplicity {m}")
 
-def probe_histogram(sampled, hull_mesh, probes, seed):
-    # the probes of `curvehull diagnose`: uniform box draws kept a safe
-    # distance inside the hull, where a grazing chord cannot split or drop a
-    # cluster; a probe that meets no chord at all is counted as m = 0
-    hist, counters = covering_histogram(sampled, hull_mesh, probes, seed)
-    failures = counters["chord_failures"]
-    return {0: failures, **hist} if failures else hist
+# the probes of `curvehull diagnose`: uniform box draws kept a safe distance
+# inside the hull
+print(f"\n50 random saddle probes: {covering_histogram(sc, mesh, 50, seed=42)[0]}")
 
-
-print(f"\n50 random saddle probes: {probe_histogram(sc, mesh, 50, seed=42)}")
-
-# the same scan on wobble(3) finds a patchwork of covering numbers, zero
+# the same count on wobble(3) finds a patchwork of covering numbers, zero
 # included (pockets under its two flat caps see no chord at all), so no
 # single divisor can be right, and the m=4 formula misses the hull
 sc6 = sample_uniform(gallery.get("wobble:k=3").curve, 2000)
 mesh6 = build_hull(sc6.points)
-print(f"50 random wobble(3) probes: {probe_histogram(sc6, mesh6, 50, seed=42)}")
+print(f"50 random wobble(3) probes: {covering_histogram(sc6, mesh6, 50, seed=42)[0]}")
 v4 = hull_volume(sc6, force=True)
 print(f"wobble(3) m=4 formula {v4.volume:.4f} vs hull {mesh_volume(mesh6):.4f} "
       f"(off by {abs(v4.volume / mesh_volume(mesh6) - 1) * 100:.1f}%)")

@@ -26,7 +26,6 @@ from .curves import (
     sample_uniform,
 )
 from .errors import (
-    ChordSearchError,
     CurveHullError,
     DegenerateCurveError,
     GateError,
@@ -113,6 +112,5 @@ __all__ = [
     "DegenerateCurveError",
     "NotClosedError",
     "OutsideHullError",
-    "ChordSearchError",
     "__version__",
 ]

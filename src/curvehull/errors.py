@@ -59,7 +59,3 @@ class NotClosedError(GateError):
 
 class OutsideHullError(CurveHullError):
     """A probe point lies outside (or on the boundary of) the hull."""
-
-
-class ChordSearchError(CurveHullError):
-    """No discrete chord passed near the probe point at maximum tolerance."""

@@ -8,8 +8,8 @@ where V_ij is the signed volume of the tetrahedron spanned by edge i, the
 chord from sample i to sample j, and edge j, and 4 is the paper's covering
 multiplicity of the chord map, proved for convex loops with exactly four
 torsion sign changes. The same V_ij signs classify adjacent chord pairs as
-interior or boundary, and chord counting near a probe point estimates the
-multiplicity directly.
+interior or boundary, and counting the edge-pair tetrahedra that hold a
+probe point measures the multiplicity there exactly.
 """
 
 from __future__ import annotations
@@ -27,19 +27,15 @@ from .curves import (
     require_nonplanar,
     require_vertex_count,
 )
-from .errors import (
-    ChordSearchError,
-    NonPlanarCurveError,
-    OutsideHullError,
-)
+from .errors import NonPlanarCurveError, OutsideHullError
 
 COVERING_MULTIPLICITY = 4  # the paper's divisor: chords cover the hull 4 times
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
-CHORD_TOL_FACTOR = 2.0    # chord hit tolerance delta = factor * L / n
-CLUSTER_GAP = 3           # max cyclic index gap within one chord cluster
-PROBE_MARGIN_RTOL = 0.01  # min probe clearance vs loop length in covering_histogram
-_CHUNK_ROWS = 128         # row block size for the double sum and chord search
-_SCREEN_SLACK = 1e-9      # rounding allowance of the angular chord screen
+PROBE_MARGIN_RTOL = 0.01  # probe clearance vs L; nearer a sample the screen passes most pairs
+_CHUNK_ROWS = 128         # row block size for the double sum and tetrahedron count
+_SCREEN_SLACK = 1e-9      # rounding allowance of the angular tetrahedron screen
+_FACE_RTOL = 8 * np.finfo(np.float64).eps  # face-sign rounding bound vs |q_e||q_e+1||q_a|
+_NUDGE = np.array([1.0, np.sqrt(2.0), np.pi])  # generic direction D that breaks face ties
 
 
 def triple_product(a, b, c):
@@ -239,99 +235,85 @@ def classify_adjacent_pair(curve: SampledCurve, i: int, j: int) -> PairClassific
 
 
 # ----------------------------------------------------------------------------
-# Covering multiplicity by chord counting
+# Covering multiplicity by counting the tetrahedra that hold a point
 
 
-def _near_chords(points: np.ndarray, p: np.ndarray, delta: float) -> tuple:
-    """Index arrays (i, j), i < j, of the chords within delta of p.
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products in one fixed order, so equal rows give equal bits."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
-    An exact two-stage search in O(_CHUNK_ROWS * n) extra memory. With
-    q_k = r_k - p, u_k = q_k / |q_k| and d_min = min |q_k| > delta, a chord
-    passing within delta of p has its foot strictly inside the segment, and
-    the triangle (p, r_i, r_j) then has angles asin(h / |q_i|) and
-    asin(h / |q_j|) at r_i and r_j (h <= delta the distance), so the angle
-    between q_i and -q_j is at most 2 asin(delta / d_min), i.e.
-    u_i . u_j <= 2 (delta / d_min)^2 - 1. The screen keeps the upper-triangle
-    pairs meeting that bound (plus _SCREEN_SLACK for rounding), one of
-    _upper_blocks at a time. If d_min <= delta every pair is a candidate.
-    The candidates then take the point-to-segment distance test op for op
-    as a full scan would, so the product that screens them only decides
-    which pairs are tested: the hits do not depend on BLAS.
+
+def _tetra_count(points: np.ndarray, p: np.ndarray) -> int:
+    """Ordered non-adjacent edge pairs (i, j) whose tetrahedron holds p.
+
+    With q_k = r_k - p and C_e = q_e x q_{e+1}, the face of edge e and apex
+    a has F(e, a) = [q_e, q_{e+1}, q_a] = q_a . C_e, and the kernel's
+    6 V_ij = E_i . C_j + C_i . E_j splits about p into the four faces
+    F(j, i+1) - F(j, i) + F(i, j+1) - F(i, j): p is inside when the four
+    terms are nonzero with one sign. A face sign is read from F when
+    |F| > _FACE_RTOL |q_e| |q_{e+1}| |q_a| bounds its rounding, and
+    otherwise taken at p + eps D, D = _NUDGE: the sign of
+    -((r_{e+1} - r_e) x (r_a - r_e)) . D. Both depend on (e, a) alone, so
+    the two tetrahedra that share a face see p on the same side of it.
+
+    Only pairs that pass an exact angular screen are tested, one of
+    _upper_blocks at a time. p in the tetrahedron lies on a segment from
+    edge i to edge j, so the angle between q_i and -q_j is at most 2 theta,
+    theta the widest angle an edge subtends from p: u_i . u_j <= -cos 2 theta
+    (plus _SCREEN_SLACK), u_k = q_k / |q_k|. When 2 theta >= pi, or p is a
+    sample, every pair is tested. The screen decides only which pairs are
+    tested, so the count does not depend on BLAS.
     """
     n = len(points)
     q = points - p
     d = np.linalg.norm(q, axis=1)
-    d_min = float(d.min())
-    if d_min > delta:
+    q1, d1 = np.roll(q, -1, axis=0), np.roll(d, -1)
+    cos_edge = float(np.min(_dot_rows(q, q1) / (d * d1))) if d.min() > 0 else -1.0
+    if cos_edge > 0:
         ut = (q / d[:, None]).T.copy()  # 3 x n, so column slices feed matmul
-        bound = 2.0 * (delta / d_min) ** 2 - 1.0 + _SCREEN_SLACK
+        bound = 1.0 - 2.0 * cos_edge**2 + _SCREEN_SLACK
     else:
         ut = np.zeros((1, n))  # every product is 0 <= bound: all pairs pass
         bound = 0.0
-    hits_i, hits_j = [], []
+    c = np.cross(q, q1)
+    w = np.cross(_NUDGE, np.roll(points, -1, axis=0) - points)  # D x E_e
+    tol = _FACE_RTOL * d * d1
+
+    def face_sign(e, a):
+        f = _dot_rows(c[e], q[a])
+        tie = np.abs(f) <= tol[e] * d[a]
+        f[tie] = -_dot_rows(w[e[tie]], points[a[tie]] - points[e[tie]])
+        return np.sign(f)
+
+    inside = 0
     for s, blk in _upper_blocks(ut.T, ut, np.inf):
         # 1-d nonzero: on a 2-d mask numpy's nonzero is about 10x slower
         rows, cols = np.divmod(np.flatnonzero(blk <= bound), n - s)
-        iu, ju = rows + s, cols + s
-        a = points[iu]
-        ab = points[ju] - a
-        ap = p - a
-        denom = np.einsum("ij,ij->i", ab, ab)
-        t_foot = np.clip(np.einsum("ij,ij->i", ap, ab) / denom, 0.0, 1.0)
-        dist = np.linalg.norm(ap - t_foot[:, None] * ab, axis=1)
-        near = dist <= delta
-        hits_i.append(iu[near])
-        hits_j.append(ju[near])
-    return np.concatenate(hits_i), np.concatenate(hits_j)
+        keep = (cols - rows > 1) & (cols - rows < n - 1)  # j - i: not adjacent
+        i, j = rows[keep] + s, cols[keep] + s
+        sign = face_sign(j, i + 1)
+        inside += int(np.count_nonzero(
+            (sign != 0)
+            & (face_sign(j, i) == -sign)
+            & (face_sign(i, (j + 1) % n) == sign)
+            & (face_sign(i, j) == -sign)
+        ))
+    return 2 * inside
 
 
-def _count_chord_clusters(i: np.ndarray, j: np.ndarray, n: int) -> int:
-    """Connected components of the ordered hits (i, j) and (j, i).
+def estimate_covering_multiplicity(curve: SampledCurve, point, mesh: _hull.HullMesh) -> int:
+    """Covering multiplicity at an interior point: the ordered edge pairs
+    (i, j) whose tetrahedron conv(r_i, r_{i+1}, r_j, r_{j+1}) holds it.
 
-    Two hits are linked when both their cyclic index offsets are at most
-    CLUSTER_GAP. Each hit looks up its neighbours at the offsets after
-    (0, 0) in lexicographic order (the other half give the same links from
-    the other end) by binary search in the sorted keys i * n + j, so the
-    work is O(hits log hits).
-    """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    span = range(-CLUSTER_GAP, CLUSTER_GAP + 1)
-    di, dj = np.array([(a, b) for a in span for b in span if (a, b) > (0, 0)]).T
-    keys = np.sort(np.concatenate([i * n + j, j * n + i]))
-    ci, cj = np.divmod(keys, n)
-    nb = ((ci[:, None] + di) % n) * n + (cj[:, None] + dj) % n
-    pos = np.minimum(np.searchsorted(keys, nb), len(keys) - 1)
-    src, col = np.nonzero(keys[pos] == nb)
-    graph = coo_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, pos[src, col])),
-        shape=(len(keys), len(keys)),
-    )
-    return int(connected_components(graph, directed=False)[0])
-
-
-def estimate_covering_multiplicity(
-    curve: SampledCurve,
-    point,
-    mesh: _hull.HullMesh,
-    delta: Optional[float] = None,
-) -> int:
-    """Count chord clusters passing near an interior point.
-
-    Collects every ordered sample pair (i, j) whose chord segment comes
-    within delta (default CHORD_TOL_FACTOR * L / n) of the probe, then
-    single-links pairs whose index offsets are both at most CLUSTER_GAP
-    (cyclically). The number of clusters estimates the covering multiplicity:
-    each geometric chord through the point is hit in both orders, so a
-    doubly covered point yields 4. The chord search is exact (an angular
-    screen, then the distance test on the candidates) and needs O(n) extra
-    memory; see _near_chords.
+    The tetrahedron of edges i and j is the family of chords between them,
+    so this counts the chords through the point, each in both orders: a
+    doubly covered point gives 4. The count is exact, with a point on a
+    face counted as if nudged off it in one fixed direction (_tetra_count),
+    and needs O(n) extra memory.
 
     mesh is the hull of the samples (build_hull(curve.points)), built once
     for any number of probes. The probe must lie strictly inside it; raises
-    OutsideHullError otherwise and ChordSearchError when no chord passes
-    within delta.
+    OutsideHullError otherwise.
     """
     p = np.asarray(point, dtype=np.float64)
     d = _hull.signed_distance(mesh, p)
@@ -339,16 +321,7 @@ def estimate_covering_multiplicity(
         raise OutsideHullError(
             f"probe point is not strictly inside the hull (signed distance {d:.3g})"
         )
-    n = curve.n
-    if delta is None:
-        delta = CHORD_TOL_FACTOR * curve.total_length / n
-
-    i, j = _near_chords(curve.points, p, delta)
-    if not len(i):
-        raise ChordSearchError(
-            f"no chord within {delta:.3g} of the probe; sampling too coarse"
-        )
-    return _count_chord_clusters(i, j, n)
+    return _tetra_count(curve.points, p)
 
 
 def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, seed) -> tuple:
@@ -357,20 +330,21 @@ def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, s
     Draws points uniformly in the samples' bounding box from numpy's
     default_rng(seed) (PCG64), at most 1000 * probes of them. A draw not
     strictly inside mesh is rejected as outside, and one within
-    PROBE_MARGIN_RTOL * L of its boundary as near the boundary: there a
-    grazing chord can split or drop a cluster. Every other draw is a probe
-    for estimate_covering_multiplicity, until probes have been evaluated; a
-    probe that meets no chord within delta is a chord failure and enters
-    no bin. Returns ({m: count} in ascending m, counters), the counters
-    being requested, evaluated, rejected_outside, rejected_near_boundary
-    and chord_failures.
+    PROBE_MARGIN_RTOL * L of its boundary as near the boundary: the samples
+    lie there, and beside one the angular screen of the count passes most
+    pairs. Every other draw is a probe for estimate_covering_multiplicity,
+    until probes have been evaluated; a probe that no tetrahedron holds is
+    the bin m = 0. Returns ({m: count} in
+    ascending m, counters), the counters being requested, evaluated,
+    rejected_outside, rejected_near_boundary and chord_failures, always 0
+    (kept for the schema-1 report).
     """
     rng = np.random.default_rng(seed)
     lo = curve.points.min(axis=0)
     hi = curve.points.max(axis=0)
     margin = PROBE_MARGIN_RTOL * curve.total_length
     histogram = {}
-    outside = near_boundary = chord_failures = evaluated = attempts = 0
+    outside = near_boundary = evaluated = attempts = 0
     while evaluated < probes and attempts < probes * 1000:
         attempts += 1
         p = rng.uniform(lo, hi)
@@ -382,18 +356,14 @@ def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, s
             near_boundary += 1
             continue
         evaluated += 1
-        try:
-            m = estimate_covering_multiplicity(curve, p, mesh)
-        except ChordSearchError:
-            chord_failures += 1
-            continue
+        m = estimate_covering_multiplicity(curve, p, mesh)
         histogram[m] = histogram.get(m, 0) + 1
     counters = {
         "requested": probes,
         "evaluated": evaluated,
         "rejected_outside": outside,
         "rejected_near_boundary": near_boundary,
-        "chord_failures": chord_failures,
+        "chord_failures": 0,
     }
     return dict(sorted(histogram.items())), counters
 

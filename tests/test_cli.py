@@ -441,9 +441,9 @@ def test_diagnose_seed_below_zero_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec, n, failures", [("saddle", 500, 0), ("wobble:k=3", 400, 5)], ids=["saddle", "wobble3"]
+    "spec, n, uncovered", [("saddle", 500, 0), ("wobble:k=3", 400, 10)], ids=["saddle", "wobble3"]
 )
-def test_covering_histogram_is_what_diagnose_reports(spec, n, failures, capsys):
+def test_covering_histogram_is_what_diagnose_reports(spec, n, uncovered, capsys):
     code, rep = cli_json(capsys, "diagnose", spec, "--n", str(n), "--seed", "42")
     assert code == 0
     samples = curvehull.sample_uniform(curvehull.gallery.get(spec).curve, n)
@@ -452,9 +452,10 @@ def test_covering_histogram_is_what_diagnose_reports(spec, n, failures, capsys):
     assert list(histogram) == sorted(histogram)
     assert {str(m): count for m, count in histogram.items()} == rep["multiplicity_histogram"]
     assert counters == rep["probes"]
-    # a probe that meets no chord is counted, not binned
-    assert counters["chord_failures"] == failures
-    assert sum(histogram.values()) == counters["evaluated"] - failures == 100 - failures
+    # a probe that no tetrahedron holds is the bin m = 0; chord_failures stays 0
+    assert counters["chord_failures"] == 0
+    assert histogram.get(0, 0) == uncovered
+    assert sum(histogram.values()) == counters["evaluated"] == 100
 
 
 def test_diagnose_lists_support_patches_by_smallest_sample(capsys):

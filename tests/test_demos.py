@@ -25,7 +25,7 @@ DEMO_03 = (
     "  [0.0, 0.0, 0.6]: multiplicity 4\n"
     "\n"
     "50 random saddle probes: {4: 50}\n"
-    "50 random wobble(3) probes: {0: 5, 4: 44, 6: 1}\n"
+    "50 random wobble(3) probes: {0: 5, 4: 44, 8: 1}\n"
     "wobble(3) m=4 formula 4.2666 vs hull 4.6765 (off by 8.8%)\n"
 )
 

@@ -20,6 +20,7 @@ from curvehull import (
     signed_distance,
     support_polygons,
 )
+from curvehull import errors
 from curvehull.hull import _COPLANAR_NORMAL_COS, _has_far_triple
 
 
@@ -405,3 +406,22 @@ def test_only_hull_module_imports_scipy_spatial():
         if any(map(_imports_scipy_spatial, ast.walk(ast.parse(path.read_text()))))
     )
     assert importers == ["hull.py"]
+
+
+def _raised_names(tree) -> set:
+    calls = [n.exc.func for n in ast.walk(tree) if isinstance(n, ast.Raise)
+             and isinstance(n.exc, ast.Call)]
+    return {f.id if isinstance(f, ast.Name) else getattr(f, "attr", None) for f in calls}
+
+
+def test_every_leaf_error_class_is_raised_in_the_package():
+    # an error class with no subclass that nothing raises is dead API
+    package = Path(__file__).resolve().parents[1] / "src" / "curvehull"
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    leaves = {
+        c.__name__ for c in classes if not any(o is not c and issubclass(o, c) for o in classes)
+    }
+    raised = set().union(*(_raised_names(ast.parse(p.read_text())) for p in package.glob("*.py")))
+    assert len(leaves) >= 7
+    assert sorted(leaves - raised) == []

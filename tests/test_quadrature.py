@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvehull import (
-    ChordSearchError,
     NonPlanarCurveError,
     OutsideHullError,
     PlanarCurveError,
@@ -21,6 +20,7 @@ from curvehull import (
     gallery,
     hull_volume,
     is_convex_curve,
+    mesh_volume,
     planar_area_integral,
     sample_uniform,
     signed_distance,
@@ -29,11 +29,11 @@ from curvehull import (
     triple_product,
 )
 from curvehull.quadrature import (
-    CHORD_TOL_FACTOR,
-    CLUSTER_GAP,
+    _NUDGE,
     DEGENERACY_RTOL,
+    PROBE_MARGIN_RTOL,
     _abs_double_sum,
-    _near_chords,
+    _tetra_count,
 )
 
 finite_vec = st.lists(
@@ -244,51 +244,19 @@ def test_multiplicity_rejects_outside_points(saddle_2000):
         estimate_covering_multiplicity(saddle_2000, (5, 5, 5), mesh=mesh)
 
 
-def test_multiplicity_reports_failed_chord_search(saddle_2000):
-    mesh = build_hull(saddle_2000.points)
-    with pytest.raises(ChordSearchError):
-        estimate_covering_multiplicity(
-            saddle_2000, (0, 0, 0), mesh=mesh, delta=1e-15
-        )
-
-
-def full_scan_hits(points, p, delta):
-    """Reference: every chord i < j within delta of p, by one full scan."""
-    iu, ju = np.triu_indices(len(points), k=1)
-    a = points[iu]
-    ab = points[ju] - a
-    ap = p - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(np.einsum("ij,ij->i", ap, ab) / denom, 0.0, 1.0)
-    dist = np.linalg.norm(ap - t[:, None] * ab, axis=1)
-    near = dist <= delta
-    return {(int(i), int(j)) for i, j in zip(iu[near], ju[near])}
-
-
-def bfs_cluster_count(hits, n):
-    """Reference: clusters of the ordered hits by a depth-first flood fill."""
-    hit_set = set(hits) | {(j, i) for i, j in hits}
-    offsets = [
-        (di, dj)
-        for di in range(-CLUSTER_GAP, CLUSTER_GAP + 1)
-        for dj in range(-CLUSTER_GAP, CLUSTER_GAP + 1)
-        if (di, dj) != (0, 0)
-    ]
-    seen, clusters = set(), 0
-    for start in sorted(hit_set):
-        if start in seen:
-            continue
-        clusters += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            ci, cj = stack.pop()
-            for di, dj in offsets:
-                nb = ((ci + di) % n, (cj + dj) % n)
-                if nb in hit_set and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-    return clusters
+def barycentric_count(points, p):
+    """Reference: ordered non-adjacent edge pairs whose tetrahedron holds p,
+    by barycentric coordinates from np.linalg.solve, and the smallest
+    |coordinate| seen. Flat tetrahedra (|6 V| <= 1e-14 L^3) hold nothing."""
+    n = len(points)
+    i, j = np.triu_indices(n, k=2)
+    i, j = i[j - i < n - 1], j[j - i < n - 1]
+    corners = np.stack([points[i], points[i + 1], points[j], points[(j + 1) % n]], axis=2)
+    a = np.concatenate([corners, np.ones((len(i), 1, 4))], axis=1)
+    length = np.linalg.norm(points - np.roll(points, -1, axis=0), axis=1).sum()
+    a = a[np.abs(np.linalg.det(a)) > 1e-14 * length**3]
+    lam = np.linalg.solve(a, np.broadcast_to(np.append(p, 1.0), (len(a), 4))[..., None])[..., 0]
+    return 2 * int(np.count_nonzero((lam > 0).all(axis=1))), float(np.abs(lam).min())
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,60 +269,98 @@ def _probe_curve(name, n):
     name=st.sampled_from(["saddle", "baseball", "wobble:k=3"]),
     n=st.integers(min_value=64, max_value=700),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    mode=st.sampled_from(["default", "default", "near_sample", "wide", "tiny"]),
+    mode=st.sampled_from(["default", "default", "near_sample", "near_edge"]),
 )
 @example(name="saddle", n=700, seed=0, mode="origin")
 @example(name="saddle", n=64, seed=1, mode="near_sample")
+@example(name="baseball", n=64, seed=2, mode="near_edge")
 @settings(max_examples=60, deadline=None)
-def test_chord_search_matches_full_scan(name, n, seed, mode):
-    # The hits must be the very pairs a full scan finds, not only give the
-    # same cluster count; near_sample and wide force the exhaustive branch
-    # (a sample within delta of the probe), tiny leaves no hit at all.
+def test_tetra_count_matches_barycentric_reference(name, n, seed, mode):
+    # near_edge puts the probe inside the ball on one edge as diameter, so the
+    # edge subtends 2 theta >= pi and every pair is tested; near_sample puts it
+    # one edge length from a sample, where the screen passes most pairs
     sc, mesh = _probe_curve(name, n)
     rng = np.random.default_rng(seed)
-    delta = CHORD_TOL_FACTOR * sc.total_length / n
+    k = rng.integers(n)
+    inward = sc.points.mean(axis=0) - sc.points[k]
+    inward /= np.linalg.norm(inward)
+    h = sc.total_length / n
     if mode == "origin":
         p = np.zeros(3)  # chords through it end at the samples nearest it
     elif mode == "near_sample":
-        k = rng.integers(n)
-        inward = sc.points.mean(axis=0) - sc.points[k]
-        p = sc.points[k] + 0.5 * delta * inward / np.linalg.norm(inward)
+        p = sc.points[k] + h * inward
+    elif mode == "near_edge":
+        p = (sc.points[k] + sc.points[(k + 1) % n]) / 2 + 0.25 * h * inward
+        q = sc.points[[k, (k + 1) % n]] - p
+        assert q[0] @ q[1] < 0
     else:
         p = rng.dirichlet(np.ones(4)) @ sc.points[rng.choice(n, 4, replace=False)]
     if signed_distance(mesh, p) >= -mesh.eps:
         return  # the probe landed on the hull boundary
-    if mode == "wide":
-        delta = float(np.linalg.norm(sc.points - p, axis=1).min())
-    elif mode == "tiny":
-        delta = 1e-15
-    i, j = _near_chords(sc.points, p, delta)
-    expected = full_scan_hits(sc.points, p, delta)
-    assert set(zip(i.tolist(), j.tolist())) == expected
-    assert len(i) == len(expected)
-    if not expected:
-        with pytest.raises(ChordSearchError):
-            estimate_covering_multiplicity(sc, p, mesh=mesh, delta=delta)
-    else:
-        m = estimate_covering_multiplicity(sc, p, mesh=mesh, delta=delta)
-        assert m == bfs_cluster_count(expected, n)
+    expected, closest = barycentric_count(sc.points, p)
+    if closest <= 1e-9:
+        return  # the probe lies on a face: the reference cannot decide
+    assert _tetra_count(sc.points, p) == expected
+    assert estimate_covering_multiplicity(sc, p, mesh=mesh) == expected
 
 
-def test_chord_search_with_probe_on_a_buried_sample():
+def test_count_on_a_buried_sample_is_the_count_beside_it():
     # a knotted loop buries samples inside its hull; a probe on one has
-    # d_min = 0, where no unit direction exists and every pair is tested
+    # q_k = 0, where no unit direction exists, every pair is tested and the
+    # faces through r_k take their sign at p + eps D
     sc = sample_uniform(gallery.get("trefoil").curve, 300)
     mesh = build_hull(sc.points)
-    delta = CHORD_TOL_FACTOR * sc.total_length / sc.n
     buried = is_convex_curve(sc).non_extreme
     assert len(buried) > 0
-    for k in buried[:: max(1, len(buried) // 3)]:
-        p = sc.points[k]
-        i, j = _near_chords(sc.points, p, delta)
-        expected = full_scan_hits(sc.points, p, delta)
-        assert set(zip(i.tolist(), j.tolist())) == expected
-        assert estimate_covering_multiplicity(sc, p, mesh=mesh) == bfs_cluster_count(
-            expected, sc.n
-        )
+    counts = [estimate_covering_multiplicity(sc, sc.points[k], mesh=mesh) for k in buried]
+    beside = [
+        estimate_covering_multiplicity(sc, sc.points[k] + 1e-9 * _NUDGE, mesh=mesh)
+        for k in buried
+    ]
+    assert counts == beside
+    assert counts[:: len(buried) // 6] == [4, 16, 4, 12, 4, 12, 8]
+
+
+@pytest.mark.parametrize("name", ["saddle", "baseball"])
+@pytest.mark.parametrize("n", [400, 501])
+def test_count_on_chords_and_faces_is_four(name, n):
+    # probes on a chord or on a face of two tetrahedra, where a face sign
+    # computed as 0 or as rounding noise would count 2 or 6
+    sc, mesh = _probe_curve(name, n)
+    r = sc.points
+    rng = np.random.default_rng(n)
+    i, j = rng.integers(n, size=(2, 600))
+    i, j = i[(j - i) % n > 1], j[(j - i) % n > 1]
+    t = rng.uniform(size=len(i))[:, None]
+    probes = np.concatenate([
+        (r[i] + r[j]) / 2,  # chord midpoints
+        (1 - t) * r[i] + t * r[j],  # random points on chords
+        (r[(i + 1) % n] + r[j] + r[(j + 1) % n]) / 3,  # face centroids
+        [[0, 0, 0], [0.3, 0.1, 0.0], [-0.2, 0.4, 0.1], [0.0, 0.0, 0.6]],  # demo 03's
+    ])
+    probes = probes[signed_distance(mesh, probes) <= -PROBE_MARGIN_RTOL * sc.total_length]
+    assert len(probes) > 300
+    counts = [estimate_covering_multiplicity(sc, p, mesh=mesh) for p in probes]
+    assert set(counts) == {4}
+
+
+@pytest.mark.parametrize("name", ["saddle", "baseball", "wobble:k=3"])
+def test_mean_count_is_the_double_sum_over_the_hull(name):
+    # sum |V_ij| = integral of m over the hull, so the mean count over
+    # uniform interior probes, with no margin, is sum |V_ij| / V_hull
+    sc, mesh = _probe_curve(name, 1000)
+    rng = np.random.default_rng(7)
+    box = rng.uniform(sc.points.min(axis=0), sc.points.max(axis=0), size=(2000, 3))
+    probes = box[signed_distance(mesh, box) < -mesh.eps][:600]
+    assert len(probes) == 600
+    counts = np.array([estimate_covering_multiplicity(sc, p, mesh=mesh) for p in probes])
+    predicted = _abs_double_sum(sc.points) / mesh_volume(mesh)
+    if name == "wobble:k=3":
+        mean, err = counts.mean(), counts.std(ddof=1) / np.sqrt(len(counts))
+        assert abs(mean - predicted) <= 3 * err
+    else:
+        assert set(counts.tolist()) == {4}
+        assert predicted == pytest.approx(4.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------- planar area
