@@ -45,6 +45,7 @@ from .hull import (
     contains,
     four_vertex_inequality_report,
     mesh_volume,
+    richardson_volume,
     save_obj,
     signed_distance,
     support_polygons,
@@ -86,6 +87,7 @@ __all__ = [
     "InequalityReport",
     "build_hull",
     "mesh_volume",
+    "richardson_volume",
     "contains",
     "signed_distance",
     "support_polygons",

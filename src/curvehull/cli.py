@@ -41,7 +41,7 @@ from .curves import (
 from .errors import GateError
 from .quadrature import hull_volume, planar_area_integral
 
-ORACLE_SAMPLES = 200_000   # hull oracle resolution for --verify and converge
+ORACLE_SAMPLES = 10_000    # --verify and converge oracle size; even, as it also hulls every other
 _GATE_PROFILE_MIN = 512    # min sample count for the analytic vertex gate
 _THREADS_HELP = "accepted for compatibility; changes neither the result nor the work"
 
@@ -156,11 +156,16 @@ class _ResolvedCurve:
         convexity = None if skip_convexity else require_convex(self.gate_points)
         return flat, vertex_report, convexity
 
-    def oracle_volume(self) -> float:
-        """Reference hull volume from a dense, fixed-resolution point set; a
-        polyline's hull is the hull of its vertices, so a file's points serve."""
-        dense = self.resample(ORACLE_SAMPLES) if self.path.has_derivatives else self.gate_points
-        return hull.mesh_volume(hull.build_hull(dense.points))
+    def oracle_volume(self, convexity) -> float:
+        """Reference hull volume: for a curve with derivatives, the Richardson
+        extrapolation of the hulls of ORACLE_SAMPLES samples and of every other
+        one; for a polyline, the hull of its own points, which is the hull the
+        convexity gate built (convexity, its result, or None when the gate did
+        not run and a new hull is built)."""
+        if self.path.has_derivatives:
+            return hull.richardson_volume(self.resample(ORACLE_SAMPLES).points)
+        mesh = convexity.hull if convexity else hull.build_hull(self.gate_points.points)
+        return hull.mesh_volume(mesh)
 
 
 def cmd_volume(args, phase) -> int:
@@ -172,10 +177,16 @@ def cmd_volume(args, phase) -> int:
     with phase("volume"):
         # force: the gates already ran above (or were skipped on request)
         result = hull_volume(samples, force=True, with_error_estimate=True)
+        discrete_gap = None
+        # the gate's mesh is the hull of the summed samples only when they are
+        # the gate points, as in cmd_diagnose
+        if convexity and resolved.gate_points is samples:
+            gate_hull_volume = hull.mesh_volume(convexity.hull)
+            discrete_gap = abs(result.volume - gate_hull_volume) / gate_hull_volume
     oracle = gap = None
     if args.verify:
         with phase("oracle"):
-            oracle = resolved.oracle_volume()
+            oracle = resolved.oracle_volume(convexity)
             gap = abs(result.volume - oracle) / oracle if oracle > 0 else None
 
     _emit(
@@ -188,6 +199,7 @@ def cmd_volume(args, phase) -> int:
             "vertex_report": vertex_report.as_dict() if vertex_report else None,
             "convexity": convexity.is_convex if convexity else None,
             "non_extreme_count": len(convexity.non_extreme) if convexity else None,
+            "discrete_gap": discrete_gap,
             "formula_volume": result.as_dict(),
             "oracle_volume": oracle,
             "relative_gap": gap,
@@ -227,8 +239,8 @@ def cmd_converge(args, phase) -> int:
     # the whole ladder, before the gates and the costly oracle; a file is
     # resampled even at its own n
     ladder = [resolved.resample(n) for n in ns]
-    resolved.gates(args.force)
-    oracle = resolved.oracle_volume()
+    convexity = resolved.gates(args.force)[2]
+    oracle = resolved.oracle_volume(convexity)
 
     rows = []
     for samples in ladder:

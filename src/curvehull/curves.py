@@ -408,9 +408,12 @@ def require_nonplanar(curve: SampledCurve) -> PlanarityResult:
 
 @dataclass(eq=False)
 class ConvexityResult:
+    """The convexity check's answer, with the HullMesh of the samples it read."""
+
     is_convex: bool
     non_extreme: list
     n: int
+    hull: object
 
 
 def is_convex_curve(curve: SampledCurve, hull=None) -> ConvexityResult:
@@ -420,13 +423,15 @@ def is_convex_curve(curve: SampledCurve, hull=None) -> ConvexityResult:
     within the hull tolerance of the boundary (collinear or coplanar runs);
     only points buried strictly inside are flagged. A planar loop has no 3-d
     hull and raises PlanarCurveError (require_nonplanar). Pass the prebuilt
-    HullMesh of the samples to skip rebuilding it; the result is the same.
+    HullMesh of the samples to skip rebuilding it; the result is the same,
+    and carries that mesh as its hull.
     """
     from . import hull as _hull  # local import: hull builds on scipy
 
     require_nonplanar(curve)
-    buried = (_hull.build_hull(curve.points) if hull is None else hull).buried.tolist()
-    return ConvexityResult(is_convex=not buried, non_extreme=buried, n=curve.n)
+    mesh = _hull.build_hull(curve.points) if hull is None else hull
+    buried = mesh.buried.tolist()
+    return ConvexityResult(is_convex=not buried, non_extreme=buried, n=curve.n, hull=mesh)
 
 
 def require_convex(curve: SampledCurve) -> ConvexityResult:

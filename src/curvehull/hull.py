@@ -1,5 +1,6 @@
-"""Convex hull oracle: triangulated hull meshes, volume by tetra fan,
-containment queries, coplanar support patches, and OBJ export.
+"""Convex hull oracle: triangulated hull meshes, volume by tetra fan, the
+Richardson-extrapolated hull volume of a sampled curve, containment
+queries, coplanar support patches, and OBJ export.
 
 The raw hull comes from scipy's qhull wrapper; everything downstream
 (orientation repair, structural validation, volume, distances, patch
@@ -181,6 +182,25 @@ def mesh_volume(mesh: HullMesh) -> float:
     b = mesh.points[mesh.facets[:, 1]] - ref
     c = mesh.points[mesh.facets[:, 2]] - ref
     return float(np.einsum("ij,ij->i", np.cross(a, b), c).sum() / 6.0)
+
+
+def richardson_volume(points) -> float:
+    """Hull volume of a smooth closed curve from an even number of its samples.
+
+    points are the curve's samples in loop order, evenly spaced (uniform in
+    arc length or in a smooth parameter). The hull of n such samples misses
+    the curve's hull by c / n^2 + O(1 / n^4), so with v the hull volume of all
+    points and v_half that of every other point, v + (v - v_half) / 3 cancels
+    the leading term (Richardson extrapolation). Both hulls are built and
+    validated by build_hull. An odd count raises ValueError, since
+    points[::2] would then close the loop with an uneven step.
+    """
+    pts = as_point_array(points)
+    if len(pts) % 2:
+        raise ValueError(f"need an even number of samples, got {len(pts)}")
+    v = mesh_volume(build_hull(pts))
+    v_half = mesh_volume(build_hull(pts[::2]))
+    return v + (v - v_half) / 3.0
 
 
 # ----------------------------------------------------------------------------

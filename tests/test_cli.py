@@ -59,14 +59,79 @@ def saddle_file(tmp_path, n):
 # ---------------------------------------------------------------- volume
 
 
-def test_volume_verified_run(capsys):
+def test_volume_verified_run(saddle_oracle_volume, capsys):
     code, rep = cli_json(capsys, "volume", "saddle", "--n", "500", "--verify")
     assert code == 0
     assert rep["schema"] == 1
     assert rep["relative_gap"] < 1e-3
+    # the two-hull oracle against the acceptance gate's 200k-point hull
+    assert abs(rep["oracle_volume"] - saddle_oracle_volume) / saddle_oracle_volume < 2e-9
     assert rep["vertex_report"]["vertex_count"] == 4
     assert rep["convexity"] is True
     assert rep["unverified_hypothesis"] is False
+
+
+@pytest.mark.parametrize(
+    "spec, exact",
+    # the baseball's hull is pi c (a^2 + 2ab); the saddle is its case b = 0
+    [("saddle", np.pi), ("baseball:b=0.3,c=0.4", 0.64 * np.pi)],
+    ids=["saddle", "baseball-b0.3-c0.4"],
+)
+def test_verify_oracle_is_the_hull_volume_to_1e_11(spec, exact, capsys):
+    code, rep = cli_json(capsys, "volume", spec, "--n", "200", "--verify")
+    assert code == 0
+    assert abs(rep["oracle_volume"] - exact) / exact < 1e-11
+
+
+def test_converge_and_verify_print_the_same_oracle(capsys):
+    code, out, err = run_cli(capsys, "converge", "baseball", "--ns", "200,400")
+    assert code == 0
+    column = {line.split(",")[2] for line in out.strip().splitlines()[1:]}
+    code, rep = cli_json(capsys, "converge", "baseball", "--ns", "200", "--json")
+    assert code == 0
+    assert rep["oracle_samples"] == cli.ORACLE_SAMPLES == 10_000
+    code, verified = cli_json(capsys, "volume", "baseball", "--n", "200", "--verify")
+    assert code == 0
+    assert [float(o) for o in column] == [rep["rows"][0]["oracle_volume"]]
+    assert rep["rows"][0]["oracle_volume"] == verified["oracle_volume"]
+
+
+def test_discrete_gap_measures_the_formula_against_the_gate_hull(tmp_path, capsys):
+    # the hull of the summed samples is the one the convexity gate builds
+    code, rep = cli_json(capsys, "volume", "saddle", "--n", "2000")
+    assert code == 0
+    assert rep["discrete_gap"] < 1e-13
+    code, rep = cli_json(capsys, "volume", "wobble:k=3", "--force")
+    assert code == 0
+    assert rep["discrete_gap"] == pytest.approx(0.088, abs=1e-3)
+    # no gate hull, or the gate's hull is not the hull of the summed samples
+    code, rep = cli_json(capsys, "volume", "saddle", "--n", "300", "--skip-convexity")
+    assert code == 0
+    assert rep["discrete_gap"] is None
+    path = saddle_file(tmp_path, 400)
+    code, rep = cli_json(capsys, "volume", path)
+    assert code == 0
+    assert rep["discrete_gap"] < 1e-13
+    code, rep = cli_json(capsys, "volume", path, "--n", "600")
+    assert code == 0
+    assert rep["discrete_gap"] is None
+
+
+@pytest.mark.parametrize("skip", [(), ("--skip-convexity",)], ids=["gated", "skip-convexity"])
+def test_polyline_oracle_is_the_one_hull_of_its_points(skip, tmp_path, monkeypatch, capsys):
+    path = saddle_file(tmp_path, 400)
+    built = []
+    build_hull = curvehull.hull.build_hull
+
+    def counted(points):
+        built.append(len(points))
+        return build_hull(points)
+
+    monkeypatch.setattr(curvehull.hull, "build_hull", counted)
+    code, rep = cli_json(capsys, "volume", path, "--verify", *skip)
+    assert code == 0
+    assert built == [400]
+    assert rep["oracle_volume"] == curvehull.mesh_volume(build_hull(load_polyline(path).points))
 
 
 def test_volume_planar_curve_suggests_area(capsys):
@@ -538,7 +603,6 @@ def readme_commands():
 )
 def test_readme_command_exits_as_stated(line, tmp_path, monkeypatch, capsys):
     # "# exits N" in a line's comment states its exit code; no such comment means 0
-    monkeypatch.setattr(cli, "ORACLE_SAMPLES", 20_000)
     monkeypatch.chdir(tmp_path)  # export-mesh writes its OBJ to the working directory
     command, _, comment = line.partition("#")
     argv = shlex.split(command)

@@ -15,6 +15,7 @@ from curvehull import (
     frenet_profile,
     gallery,
     mesh_volume,
+    richardson_volume,
     sample_uniform,
     save_obj,
     signed_distance,
@@ -362,6 +363,16 @@ def test_volume_monotone_under_point_addition():
         v = mesh_volume(build_hull(pts[:k]))
         assert v >= prev - 1e-12
         prev = v
+
+
+def test_richardson_volume_cancels_the_hull_error_of_order_n_squared():
+    # the hull of n saddle samples misses pi by about c / n^2; extrapolating
+    # from n and n / 2 samples leaves a small fraction of that
+    pts = sample_uniform(gallery.get("saddle").curve, 2000).points
+    hull_error = abs(mesh_volume(build_hull(pts)) - np.pi)
+    assert abs(richardson_volume(pts) - np.pi) < 1e-4 * hull_error
+    with pytest.raises(ValueError, match="even number of samples, got 1999"):
+        richardson_volume(pts[:-1])
 
 
 def test_centroid_is_inside_every_hull():
