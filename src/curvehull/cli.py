@@ -157,11 +157,11 @@ class _ResolvedCurve:
         return flat, vertex_report, convexity
 
     def oracle_volume(self, convexity) -> float:
-        """Reference hull volume: for a curve with derivatives, the Richardson
+        """Reference hull volume. A curve with derivatives gets the Richardson
         extrapolation of the hulls of ORACLE_SAMPLES samples and of every other
-        one; for a polyline, the hull of its own points, which is the hull the
-        convexity gate built (convexity, its result, or None when the gate did
-        not run and a new hull is built)."""
+        one. A polyline gets the volume of the hull of its own points:
+        convexity.hull, the mesh its convexity gate built, or a new hull when
+        convexity is None."""
         if self.path.has_derivatives:
             return hull.richardson_volume(self.resample(ORACLE_SAMPLES).points)
         mesh = convexity.hull if convexity else hull.build_hull(self.gate_points.points)
