@@ -37,12 +37,10 @@ from .errors import (
     VertexCountError,
 )
 from .hull import (
-    Containment,
     HullMesh,
     InequalityReport,
     SupportPolygonReport,
     build_hull,
-    contains,
     four_vertex_inequality_report,
     mesh_volume,
     richardson_volume,
@@ -82,13 +80,11 @@ __all__ = [
     "planarity_check",
     "is_convex_curve",
     "HullMesh",
-    "Containment",
     "SupportPolygonReport",
     "InequalityReport",
     "build_hull",
     "mesh_volume",
     "richardson_volume",
-    "contains",
     "signed_distance",
     "support_polygons",
     "four_vertex_inequality_report",

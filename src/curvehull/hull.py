@@ -11,12 +11,13 @@ chord-sum formula independently.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .curves import PLANARITY_RTOL, as_point_array, plane_deviation
-from .errors import CurveHullError, OutsideHullError, PlanarCurveError
+from .errors import CurveHullError, PlanarCurveError
 
 HULL_EPS_RTOL = 1e-9  # containment tolerance vs bounding-box diagonal
 _COPLANAR_NORMAL_COS = np.cos(1e-6)  # merge facets whose normals agree to 1e-6 rad
@@ -151,26 +152,6 @@ def signed_distance(mesh: HullMesh, p) -> np.ndarray | float:
     return float(d[0]) if single else d
 
 
-@dataclass(eq=False)
-class Containment:
-    """Where a point sits relative to a hull: inside, boundary, or outside."""
-
-    location: str  # "inside" | "boundary" | "outside"
-    margin: float  # unsigned distance to the nearest facet plane
-
-    @property
-    def is_inside(self) -> bool:
-        return self.location == "inside"
-
-
-def contains(mesh: HullMesh, p) -> Containment:
-    """Classify a single point against the hull, with eps-thick boundary."""
-    d = signed_distance(mesh, p)
-    if abs(d) <= mesh.eps:
-        return Containment("boundary", abs(d))
-    return Containment("inside" if d < 0 else "outside", abs(d))
-
-
 def mesh_volume(mesh: HullMesh) -> float:
     """Enclosed volume by summing signed tetra volumes against the centroid.
 
@@ -286,10 +267,24 @@ def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
     )
     label = connected_components(graph, directed=False)[1]
     sizes = np.bincount(label)
+    order = np.argsort(label, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    # a group of 1 or 2 facets lists every sample it touches in the 6 slots
+    # of its first and last facet (a lone facet twice); a repeated sample is
+    # 0 apart from itself, so only triples of distinct samples can pass
+    small = sizes <= 2
+    ids = f[order[np.concatenate([starts, starts + sizes - 1])]].reshape(2, -1, 3)
+    ids = np.concatenate(ids[:, small], axis=1)
+    gap = np.abs(ids[:, :, None] - ids[:, None, :])
+    far = np.minimum(gap, n - gap) > 2
+    a, b, c = np.array(list(combinations(range(6), 3))).T
+    candidate = ~small
+    candidate[small] = (far[:, a, b] & far[:, a, c] & far[:, b, c]).any(axis=1)
     patches = []
-    for members in np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]):
+    for g in np.flatnonzero(candidate):
+        members = order[starts[g] : starts[g] + sizes[g]]
         touched = np.unique(f[members]).tolist()
-        if _has_far_triple(touched, n):
+        if sizes[g] <= 2 or _has_far_triple(touched, n):
             patches.append(
                 SupportPatch(
                     facet_ids=members.tolist(),

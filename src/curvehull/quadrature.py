@@ -33,6 +33,8 @@ COVERING_MULTIPLICITY = 4  # the paper's divisor: chords cover the hull 4 times
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
 PROBE_MARGIN_RTOL = 0.01  # probe clearance vs L; nearer a sample the screen passes most pairs
 _CHUNK_ROWS = 128         # row block size for the double sum and tetrahedron count
+_PROBE_BATCH = 32         # probe draws tested against the hull per signed_distance call
+_BLAS_SERIAL_MNK = 100**3  # OpenBLAS runs a dgemm on one thread while M N K is at most this
 _SCREEN_SLACK = 1e-9      # rounding allowance of the angular tetrahedron screen
 _FACE_RTOL = 8 * np.finfo(np.float64).eps  # face-sign rounding bound vs |q_e||q_e+1||q_a|
 _NUDGE = np.array([1.0, np.sqrt(2.0), np.pi])  # generic direction D that breaks face ties
@@ -256,13 +258,18 @@ def _tetra_count(points: np.ndarray, p: np.ndarray) -> int:
     -((r_{e+1} - r_e) x (r_a - r_e)) . D. Both depend on (e, a) alone, so
     the two tetrahedra that share a face see p on the same side of it.
 
-    Only pairs that pass an exact angular screen are tested, one of
-    _upper_blocks at a time. p in the tetrahedron lies on a segment from
-    edge i to edge j, so the angle between q_i and -q_j is at most 2 theta,
-    theta the widest angle an edge subtends from p: u_i . u_j <= -cos 2 theta
-    (plus _SCREEN_SLACK), u_k = q_k / |q_k|. When 2 theta >= pi, or p is a
-    sample, every pair is tested. The screen decides only which pairs are
-    tested, so the count does not depend on BLAS.
+    Only pairs that pass an exact angular screen are tested. p in the
+    tetrahedron lies on a segment from edge i to edge j, so the angle
+    between q_i and -q_j is at most 2 theta, theta the widest angle an edge
+    subtends from p: u_i . u_j <= -cos 2 theta (plus _SCREEN_SLACK),
+    u_k = q_k / |q_k|. When 2 theta >= pi, or p is a sample, every pair is
+    tested. The screen decides only which pairs are tested, so the count
+    does not depend on BLAS.
+
+    The screened pairs are gathered across _upper_blocks and their face
+    signs tested in one pass once n of them are held: the few pairs of a
+    typical probe take one pass, and a block that passes many is tested on
+    its own, so memory stays O(n) when every pair passes.
     """
     n = len(points)
     q = points - p
@@ -276,29 +283,41 @@ def _tetra_count(points: np.ndarray, p: np.ndarray) -> int:
         ut = np.zeros((1, n))  # every product is 0 <= bound: all pairs pass
         bound = 0.0
     c = np.cross(q, q1)
-    w = np.cross(_NUDGE, np.roll(points, -1, axis=0) - points)  # D x E_e
     tol = _FACE_RTOL * d * d1
 
     def face_sign(e, a):
         f = _dot_rows(c[e], q[a])
-        tie = np.abs(f) <= tol[e] * d[a]
-        f[tie] = -_dot_rows(w[e[tie]], points[a[tie]] - points[e[tie]])
+        tie = np.where(np.abs(f) <= tol[e] * d[a])[0]
+        if len(tie):
+            et, at = e[tie], a[tie]
+            w = np.cross(_NUDGE, points[(et + 1) % n] - points[et])  # D x E_e
+            f[tie] = -_dot_rows(w, points[at] - points[et])
         return np.sign(f)
 
-    inside = 0
-    for s, blk in _upper_blocks(ut.T, ut, np.inf):
-        # 1-d nonzero: on a 2-d mask numpy's nonzero is about 10x slower
-        rows, cols = np.divmod(np.flatnonzero(blk <= bound), n - s)
-        keep = (cols - rows > 1) & (cols - rows < n - 1)  # j - i: not adjacent
-        i, j = rows[keep] + s, cols[keep] + s
+    def count_inside(rows, cols):
+        # one block's pairs are tested in place, without a copy
+        i, j = (rows[0], cols[0]) if len(rows) == 1 else map(np.concatenate, (rows, cols))
         sign = face_sign(j, i + 1)
-        inside += int(np.count_nonzero(
+        return int(np.count_nonzero(
             (sign != 0)
             & (face_sign(j, i) == -sign)
             & (face_sign(i, (j + 1) % n) == sign)
             & (face_sign(i, j) == -sign)
         ))
-    return 2 * inside
+
+    inside = gathered = 0
+    rows, cols = [], []
+    for s, blk in _upper_blocks(ut.T, ut, np.inf):
+        # 1-d nonzero: on a 2-d mask numpy's nonzero is about 10x slower
+        r, col = np.divmod(np.flatnonzero(blk <= bound), n - s)
+        keep = (col - r > 1) & (col - r < n - 1)  # j - i: not adjacent
+        rows.append(r[keep] + s)
+        cols.append(col[keep] + s)
+        gathered += len(rows[-1])
+        if gathered >= n:
+            inside += count_inside(rows, cols)
+            rows, cols, gathered = [], [], 0
+    return 2 * (inside + (count_inside(rows, cols) if rows else 0))
 
 
 def estimate_covering_multiplicity(curve: SampledCurve, point, mesh: _hull.HullMesh) -> int:
@@ -334,30 +353,40 @@ def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, s
     lie there, and beside one the angular screen of the count passes most
     pairs. Every other draw is a probe for estimate_covering_multiplicity,
     until probes have been evaluated; a probe that no tetrahedron holds is
-    the bin m = 0. Returns ({m: count} in
-    ascending m, counters), the counters being requested, evaluated,
-    rejected_outside, rejected_near_boundary and chord_failures, always 0
-    (kept for the schema-1 report).
+    the bin m = 0. Returns ({m: count} in ascending m, counters), the
+    counters being requested, evaluated, rejected_outside,
+    rejected_near_boundary and chord_failures, always 0 (kept for the
+    schema-1 report).
+
+    Draws are made and tested against mesh up to _PROBE_BATCH at a time, in
+    one signed_distance call, and used in order, so the result is that of
+    drawing and testing one point at a time.
     """
     rng = np.random.default_rng(seed)
     lo = curve.points.min(axis=0)
     hi = curve.points.max(axis=0)
     margin = PROBE_MARGIN_RTOL * curve.total_length
+    cap = probes * 1000
+    # a draw of shape (k, 3) yields the numbers of k draws of one point, and
+    # a batch this small keeps the distance matmul on one BLAS thread
+    batch = max(1, min(_PROBE_BATCH, _BLAS_SERIAL_MNK // (3 * mesh.n_facets)))
     histogram = {}
     outside = near_boundary = evaluated = attempts = 0
-    while evaluated < probes and attempts < probes * 1000:
-        attempts += 1
-        p = rng.uniform(lo, hi)
-        sd = _hull.signed_distance(mesh, p)
-        if sd >= -mesh.eps:
-            outside += 1
-            continue
-        if sd > -margin:
-            near_boundary += 1
-            continue
-        evaluated += 1
-        m = estimate_covering_multiplicity(curve, p, mesh)
-        histogram[m] = histogram.get(m, 0) + 1
+    while evaluated < probes and attempts < cap:
+        draws = rng.uniform(lo, hi, size=(min(batch, cap - attempts), 3))
+        for p, sd in zip(draws, _hull.signed_distance(mesh, draws)):
+            attempts += 1
+            if sd >= -mesh.eps:
+                outside += 1
+                continue
+            if sd > -margin:
+                near_boundary += 1
+                continue
+            evaluated += 1
+            m = estimate_covering_multiplicity(curve, p, mesh)
+            histogram[m] = histogram.get(m, 0) + 1
+            if evaluated == probes:
+                break
     counters = {
         "requested": probes,
         "evaluated": evaluated,

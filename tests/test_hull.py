@@ -9,7 +9,6 @@ from curvehull import (
     CurveHullError,
     PlanarCurveError,
     build_hull,
-    contains,
     count_vertices,
     four_vertex_inequality_report,
     frenet_profile,
@@ -118,15 +117,16 @@ def test_interior_points_of_random_cloud_stay_inside(rng):
 
 
 def test_containment_classification():
+    # inside below -eps, on the boundary within eps, outside above eps
     mesh = build_hull(unit_cube_points())
-    center = contains(mesh, [0.5, 0.5, 0.5])
-    assert center.location == "inside"
-    assert center.margin == pytest.approx(0.5)
-    corner = contains(mesh, [1.0, 1.0, 1.0])
-    assert corner.location == "boundary"
-    out = contains(mesh, [2.0, 0.5, 0.5])
-    assert out.location == "outside"
-    assert out.margin == pytest.approx(1.0)
+    center = signed_distance(mesh, [0.5, 0.5, 0.5])
+    assert center < -mesh.eps
+    assert center == pytest.approx(-0.5)
+    corner = signed_distance(mesh, [1.0, 1.0, 1.0])
+    assert abs(corner) <= mesh.eps
+    out = signed_distance(mesh, [2.0, 0.5, 0.5])
+    assert out > mesh.eps
+    assert out == pytest.approx(1.0)
 
 
 def test_signed_distance_vectorized_matches_scalar():
@@ -249,6 +249,7 @@ def union_find_support_polygons(mesh):
         ("wobble:k=3", 400),
         ("wobble:k=3", 500),
         ("wobble:k=5", 1000),
+        ("wobble:k=7", 1200),
         ("trefoil", 300),
     ],
 )
@@ -384,7 +385,7 @@ def test_centroid_is_inside_every_hull():
     ]
     for pts in clouds:
         mesh = build_hull(pts)
-        assert contains(mesh, pts.mean(axis=0)).location == "inside"
+        assert signed_distance(mesh, pts.mean(axis=0)) < -mesh.eps
 
 
 def test_ball_cloud_hull_vertices_near_sphere():

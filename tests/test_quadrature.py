@@ -1,9 +1,10 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_rotation
+from conftest import lifted_circle_points, random_rotation
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from curvehull import (
     build_hull,
     classify_adjacent_pair,
     classify_pairs,
+    covering_histogram,
     estimate_covering_multiplicity,
     gallery,
     hull_volume,
@@ -361,6 +363,72 @@ def test_mean_count_is_the_double_sum_over_the_hull(name):
     else:
         assert set(counts.tolist()) == {4}
         assert predicted == pytest.approx(4.0, rel=1e-12)
+
+
+def test_count_memory_grows_linearly_in_n():
+    # on a sample q_k = 0, so every pair passes the screen: gathering them
+    # all would grow the peak 4x from n to 2n, flushing them by blocks 2x
+    peaks = []
+    for n in (2000, 4000):
+        sc = sample_uniform(gallery.get("saddle").curve, n)
+        tracemalloc.start()
+        try:
+            _tetra_count(sc.points, sc.points[n // 3])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0]
+
+
+def one_draw_histogram(curve, mesh, probes, seed):
+    """Reference: covering_histogram with one draw and one distance per point."""
+    rng = np.random.default_rng(seed)
+    lo, hi = curve.points.min(axis=0), curve.points.max(axis=0)
+    margin = PROBE_MARGIN_RTOL * curve.total_length
+    histogram = {}
+    outside = near_boundary = evaluated = attempts = 0
+    while evaluated < probes and attempts < probes * 1000:
+        attempts += 1
+        p = rng.uniform(lo, hi)
+        sd = signed_distance(mesh, p)
+        if sd >= -mesh.eps:
+            outside += 1
+        elif sd > -margin:
+            near_boundary += 1
+        else:
+            evaluated += 1
+            m = estimate_covering_multiplicity(curve, p, mesh=mesh)
+            histogram[m] = histogram.get(m, 0) + 1
+    counters = {
+        "requested": probes,
+        "evaluated": evaluated,
+        "rejected_outside": outside,
+        "rejected_near_boundary": near_boundary,
+        "chord_failures": 0,
+    }
+    return dict(sorted(histogram.items())), counters
+
+
+@pytest.mark.parametrize(
+    "name, n, seed",
+    [("saddle", 500, 0), ("saddle", 500, 1), ("saddle", 500, 2), ("saddle", 500, 3),
+     ("wobble:k=3", 400, 0)],
+)
+def test_histogram_matches_one_draw_reference(name, n, seed):
+    sc, mesh = _probe_curve(name, n)
+    got = covering_histogram(sc, mesh, 100, seed)
+    assert got == one_draw_histogram(sc, mesh, 100, seed)
+    assert got[1]["evaluated"] == 100
+
+
+def test_histogram_draw_cap_matches_one_draw_reference():
+    # the lifted circle is 1e-8 thick: every draw is rejected, up to the cap
+    sc = SampledCurve.from_points(lifted_circle_points())
+    mesh = build_hull(sc.points)
+    got = covering_histogram(sc, mesh, 5, 0)
+    assert got == one_draw_histogram(sc, mesh, 5, 0)
+    counters = got[1]
+    assert counters["rejected_outside"] + counters["rejected_near_boundary"] == 5000
 
 
 # ---------------------------------------------------------------- planar area
