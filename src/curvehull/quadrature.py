@@ -298,12 +298,13 @@ def _tetra_count(points: np.ndarray, p: np.ndarray) -> int:
         # one block's pairs are tested in place, without a copy
         i, j = (rows[0], cols[0]) if len(rows) == 1 else map(np.concatenate, (rows, cols))
         sign = face_sign(j, i + 1)
-        return int(np.count_nonzero(
-            (sign != 0)
-            & (face_sign(j, i) == -sign)
-            & (face_sign(i, (j + 1) % n) == sign)
-            & (face_sign(i, j) == -sign)
-        ))
+        # each face test keeps only the pairs still inside, so the later ones
+        # see few pairs when the screen passes many
+        hold = np.flatnonzero((sign != 0) & (face_sign(j, i) == -sign))
+        i, j, sign = i[hold], j[hold], sign[hold]
+        hold = np.flatnonzero(face_sign(i, (j + 1) % n) == sign)
+        i, j, sign = i[hold], j[hold], sign[hold]
+        return int(np.count_nonzero(face_sign(i, j) == -sign))
 
     inside = gathered = 0
     rows, cols = [], []
