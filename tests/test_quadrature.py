@@ -367,7 +367,7 @@ def test_mean_count_is_the_double_sum_over_the_hull(name):
 
 def test_count_memory_grows_linearly_in_n():
     # on a sample q_k = 0, so every pair passes the screen: gathering them
-    # all would grow the peak 4x from n to 2n, flushing them by blocks 2x
+    # all would grow the peak 4x from n to 2n, testing a block at a time 2x
     peaks = []
     for n in (2000, 4000):
         sc = sample_uniform(gallery.get("saddle").curve, n)
