@@ -10,11 +10,11 @@ row: its two flat caps push P to 2 and the inequality closes to an equality.
 """
 
 from curvehull import (
-    build_hull,
     count_vertices,
     four_vertex_inequality_report,
     frenet_profile,
     gallery,
+    is_convex_curve,
     sample_uniform,
     support_polygons,
 )
@@ -25,11 +25,12 @@ for spec in ("saddle", "baseball", "wobble:k=3", "wobble:k=5", "ellipse", "trefo
     if entry.planar:
         print(f"{spec:12s}  planar: torsion never leaves zero, nothing to count")
         continue
-    if not gallery.verify_all_extreme(entry, n=500):
+    convexity = is_convex_curve(sample_uniform(entry.curve, 500))
+    if not convexity.is_convex:
         print(f"{spec:12s}  not convex: inequality preconditions fail")
         continue
     vrep = count_vertices(frenet_profile(entry.curve, 4096))
-    srep = support_polygons(build_hull(sample_uniform(entry.curve, 500).points))
+    srep = support_polygons(convexity.hull)
     rep = four_vertex_inequality_report(vrep, srep)
     print(f"{spec:12s} {rep.vertex_count:2d}   {rep.support_count:2d}  {rep.slack:5d}  "
           f"{rep.satisfied}")

@@ -278,15 +278,14 @@ def cmd_converge(args, phase) -> int:
 def cmd_diagnose(args, phase) -> int:
     with phase("hull"):
         resolved = _ResolvedCurve(args.curve, args.n)
-        samples = resolved.samples
+        samples, gate_points = resolved.samples, resolved.gate_points
         require_nonplanar(samples)
-        mesh = hull.build_hull(samples.points)
+        convexity = is_convex_curve(gate_points)
+        # the convexity check read the hull of samples unless a polyline was resampled
+        mesh = convexity.hull if gate_points is samples else hull.build_hull(samples.points)
 
     with phase("structure"):
         vertex_report = resolved.vertex_report()
-        gate_points = resolved.gate_points
-        # the hull of samples is the hull the convexity check would build
-        convexity = is_convex_curve(gate_points, hull=mesh if gate_points is samples else None)
         support = hull.support_polygons(mesh)
         inequality = hull.four_vertex_inequality_report(
             vertex_count=vertex_report.vertex_count,

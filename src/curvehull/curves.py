@@ -416,20 +416,20 @@ class ConvexityResult:
     hull: object
 
 
-def is_convex_curve(curve: SampledCurve, hull=None) -> ConvexityResult:
+def is_convex_curve(curve: SampledCurve) -> ConvexityResult:
     """Check that every sample is an extreme point of the hull of the samples.
 
     A sample that is not a hull vertex still counts as extreme if it lies
     within the hull tolerance of the boundary (collinear or coplanar runs);
     only points buried strictly inside are flagged. A planar loop has no 3-d
-    hull and raises PlanarCurveError (require_nonplanar). Pass the prebuilt
-    HullMesh of the samples to skip rebuilding it; the result is the same,
-    and carries that mesh as its hull.
+    hull and raises PlanarCurveError (require_nonplanar). The result carries
+    the HullMesh it read, so a caller needing the hull of the same samples
+    takes it from there.
     """
     from . import hull as _hull  # local import: hull builds on scipy
 
     require_nonplanar(curve)
-    mesh = _hull.build_hull(curve.points) if hull is None else hull
+    mesh = _hull.build_hull(curve.points)
     buried = mesh.buried.tolist()
     return ConvexityResult(is_convex=not buried, non_extreme=buried, n=curve.n, hull=mesh)
 

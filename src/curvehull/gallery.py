@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import AnalyticCurve, is_convex_curve, sample_uniform
+from .curves import AnalyticCurve
 
 TWO_PI = 2.0 * np.pi
 
@@ -193,11 +193,3 @@ def get(spec: str) -> GalleryEntry:
         description="knotted curve with interior samples, fails the convexity gate",
     )
 
-
-def verify_all_extreme(entry, n: int = 500) -> bool:
-    """Sample the curve and check every sample is extreme in its hull; a
-    planar entry raises PlanarCurveError."""
-    if isinstance(entry, str):
-        entry = get(entry)
-    sampled = sample_uniform(entry.curve, n)
-    return is_convex_curve(sampled).is_convex

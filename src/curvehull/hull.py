@@ -11,7 +11,6 @@ chord-sum formula independently.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -216,29 +215,8 @@ class SupportPolygonReport:
         return {
             "count": self.count,
             "coplanar_groups": self.coplanar_groups,
-            "patch_sample_ids": [sorted(p.sample_ids) for p in self.patches],
+            "patch_sample_ids": [p.sample_ids for p in self.patches],
         }
-
-
-def _cyclic_distance(i: int, j: int, n: int) -> int:
-    d = abs(i - j) % n
-    return min(d, n - d)
-
-
-def _has_far_triple(ids, n: int) -> bool:
-    ids = sorted(set(ids))
-    m = len(ids)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if _cyclic_distance(ids[a], ids[b], n) <= 2:
-                continue
-            for c in range(b + 1, m):
-                if (
-                    _cyclic_distance(ids[a], ids[c], n) > 2
-                    and _cyclic_distance(ids[b], ids[c], n) > 2
-                ):
-                    return True
-    return False
 
 
 def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
@@ -247,10 +225,21 @@ def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
     Adjacent facets are merged, as connected components, when their planes
     agree (normals within 1e-6 rad, offsets within eps); each resulting patch
     counts toward P when the samples it touches admit three indices pairwise
-    more than 2 apart around the sample cycle. Sample indices refer to positions
-    along the input loop, so the distance rule excludes patches explained by
-    consecutive samples alone. Patches come in ascending order of their sorted
-    sample indices, smallest first, not in qhull's facet order.
+    more than 2 apart around the sample cycle (a far triple). Sample indices
+    refer to positions along the input loop, so the distance rule excludes
+    patches explained by consecutive samples alone. Patches come in ascending
+    order of their sorted sample indices, smallest first, not in qhull's
+    facet order.
+
+    One rule decides every group. Each facet corner gets the key
+    label * 2n + sample, and the keys are sorted; a group's keys are then
+    contiguous, in loop order, and more than n below the next group's. For a
+    key a let b be the first key >= a + 3 and c the first key >= b + 3. The
+    group has a far triple iff some a in it has c <= a + n - 3 (then b and c
+    are in the group too). This is exact: a far triple written in loop order
+    a < b < c needs b >= a + 3, c >= b + 3 and c <= a + n - 3, and taking the
+    earliest such b, then the earliest c, makes c as small as it can be.
+    Repeated keys change none of these searches.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
@@ -265,37 +254,28 @@ def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
     graph = coo_matrix(
         (np.ones(int(flat.sum()), dtype=np.int8), (t1[flat], t2[flat])), shape=(len(f), len(f))
     )
-    label = connected_components(graph, directed=False)[1]
-    sizes = np.bincount(label)
-    order = np.argsort(label, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    # a group of 1 or 2 facets lists every sample it touches in the 6 slots
-    # of its first and last facet (a lone facet twice); a repeated sample is
-    # 0 apart from itself, so only triples of distinct samples can pass
-    small = sizes <= 2
-    ids = f[order[np.concatenate([starts, starts + sizes - 1])]].reshape(2, -1, 3)
-    ids = np.concatenate(ids[:, small], axis=1)
-    gap = np.abs(ids[:, :, None] - ids[:, None, :])
-    far = np.minimum(gap, n - gap) > 2
-    a, b, c = np.array(list(combinations(range(6), 3))).T
-    candidate = ~small
-    candidate[small] = (far[:, a, b] & far[:, a, c] & far[:, b, c]).any(axis=1)
+    n_groups, label = connected_components(graph, directed=False)
+    keys = np.sort((label.astype(np.int64)[:, None] * (2 * n) + f).ravel())
+    # a sentinel above every a + n - 3 stands for "no such key"
+    padded = np.append(keys, n_groups * 2 * n)
+    c = np.searchsorted(keys, padded[np.searchsorted(keys, keys + 3)] + 3)
+    far = padded[c] <= keys + n - 3
     patches = []
-    for g in np.flatnonzero(candidate):
-        members = order[starts[g] : starts[g] + sizes[g]]
-        touched = np.unique(f[members]).tolist()
-        if sizes[g] <= 2 or _has_far_triple(touched, n):
-            patches.append(
-                SupportPatch(
-                    facet_ids=members.tolist(),
-                    sample_ids=touched,
-                    normal=mesh.normals[members[0]].copy(),
-                    offset=float(mesh.offsets[members[0]]),
-                )
+    for g in np.unique(keys[far] // (2 * n)):
+        members = np.flatnonzero(label == g)
+        patches.append(
+            SupportPatch(
+                facet_ids=members.tolist(),
+                sample_ids=np.unique(f[members]).tolist(),
+                normal=mesh.normals[members[0]].copy(),
+                offset=float(mesh.offsets[members[0]]),
             )
+        )
     patches.sort(key=lambda patch: patch.sample_ids)
     return SupportPolygonReport(
-        count=len(patches), patches=patches, coplanar_groups=int(np.count_nonzero(sizes > 1))
+        count=len(patches),
+        patches=patches,
+        coplanar_groups=int(np.count_nonzero(np.bincount(label) > 1)),
     )
 
 

@@ -523,12 +523,21 @@ def test_covering_histogram_is_what_diagnose_reports(spec, n, uncovered, capsys)
     assert sum(histogram.values()) == counters["evaluated"] == 100
 
 
-def test_diagnose_lists_support_patches_by_smallest_sample(capsys):
-    code, rep = cli_json(capsys, "diagnose", "wobble:k=3", "--n", "400", "--probes", "5")
+@pytest.mark.parametrize(
+    "spec, n, count",
+    [("wobble:k=3", 400, 2)]
+    + [("wobble:k=5", n, 2) for n in (400, 600, 1000, 1200)]
+    + [("wobble:k=7", n, p) for n, p in ((400, 6), (500, 8), (600, 10), (1000, 6), (1200, 8))],
+)
+def test_diagnose_lists_support_patches_by_smallest_sample(spec, n, count, capsys):
+    # wobble(5)'s two caps are patches of 3 facets; wobble(7)'s P moves with n
+    code, rep = cli_json(capsys, "diagnose", spec, "--n", str(n), "--probes", "5")
     assert code == 0
     patches = rep["support_polygons"]["patch_sample_ids"]
-    assert len(patches) == 2
+    assert rep["support_polygons"]["count"] == rep["inequality"]["support_count"] == count
+    assert len(patches) == count
     assert patches == sorted(patches)
+    assert all(ids == sorted(set(ids)) for ids in patches)
 
 
 # ---------------------------------------------------------------- export-mesh
@@ -681,7 +690,8 @@ def test_volume_bits_ignore_blas_and_worker_threads():
 
 
 def test_diagnose_bits_ignore_blas_and_worker_threads():
-    # the chord screen runs through BLAS, but it only picks the candidates
+    # the probes' angular screen runs through BLAS, but it only picks the
+    # pairs whose face signs are tested, and the count reads only those signs
     src = str(Path(curvehull.__file__).resolve().parents[1])
     outs = set()
     for blas in ("1", "2"):

@@ -217,14 +217,15 @@ def test_convexity_trefoil():
 
 def test_convexity_non_extreme_matches_per_point_loop():
     sc = sample_uniform(gallery.get("trefoil").curve, 500)
-    mesh = build_hull(sc.points)
+    res = is_convex_curve(sc)
+    mesh = res.hull
+    assert np.array_equal(mesh.points, sc.points)
     vertices = set(int(v) for v in mesh.vertex_indices)
     expected = [
         i
         for i in range(sc.n)
         if i not in vertices and signed_distance(mesh, sc.points[i]) < -mesh.eps
     ]
-    res = is_convex_curve(sc, hull=mesh)
     assert expected
     assert mesh.buried.tolist() == expected
     assert res.non_extreme == expected
@@ -250,13 +251,13 @@ def test_convexity_plane_tests_each_non_vertex_sample_once(monkeypatch):
 
 def test_convexity_with_a_prebuilt_hull_matches_on_a_nearly_planar_loop():
     # the flower is planar to planarity_check yet thick enough for build_hull,
-    # so only the planarity gate can refuse it, with a prebuilt hull or without
+    # so a hull of its points exists and only the planarity gate can refuse it
     pts = lifted_flower_points()
     sc = SampledCurve.from_points(pts)
     assert planarity_check(sc).is_planar
-    for hull in (None, build_hull(pts)):
-        with pytest.raises(PlanarCurveError, match="use the `area` command"):
-            is_convex_curve(sc, hull=hull)
+    assert build_hull(pts).n_facets > 0
+    with pytest.raises(PlanarCurveError, match="use the `area` command"):
+        is_convex_curve(sc)
 
 
 def test_convexity_planar_circle():

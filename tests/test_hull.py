@@ -1,8 +1,11 @@
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from curvehull import (
@@ -21,7 +24,7 @@ from curvehull import (
     support_polygons,
 )
 from curvehull import errors
-from curvehull.hull import _COPLANAR_NORMAL_COS, _has_far_triple
+from curvehull.hull import _COPLANAR_NORMAL_COS
 
 
 def unit_cube_points():
@@ -192,10 +195,21 @@ def test_wobble_tritangent_planes_counted():
     assert bottom == (125, 292, 458)
 
 
+def far_triple(ids, n):
+    """Brute force: three of ids pairwise more than 2 apart around the n-cycle."""
+
+    def apart(i, j):
+        d = abs(i - j) % n
+        return min(d, n - d) > 2
+
+    return any(apart(a, b) and apart(a, c) and apart(b, c) for a, b, c in combinations(ids, 3))
+
+
 def union_find_support_polygons(mesh):
     """Reference: the patch grouping support_polygons used before it moved to
     scipy's connected_components, a dict of edges and a union-find whose
-    roots are the smallest facet of each patch."""
+    roots are the smallest facet of each patch, with a brute-force far-triple
+    test per patch."""
     n = len(mesh.points)
     f = mesh.facets
     parent = list(range(len(f)))
@@ -232,12 +246,26 @@ def union_find_support_polygons(mesh):
     for root in sorted(groups):
         members = groups[root]
         touched = sorted(set(int(x) for t in members for x in f[t]))
-        if _has_far_triple(touched, n):
+        if far_triple(touched, n):
             patches.append(
                 (members, touched, mesh.normals[members[0]], float(mesh.offsets[members[0]]))
             )
     multi = sum(len(m) > 1 for m in groups.values())
     return len(patches), multi, patches
+
+
+def assert_matches_union_find_reference(mesh):
+    rep = support_polygons(mesh)
+    count, multi, patches = union_find_support_polygons(mesh)
+    patches.sort(key=lambda patch: patch[1])  # by sorted sample indices, smallest first
+    assert (rep.count, rep.coplanar_groups) == (count, multi)
+    assert rep.as_dict()["patch_sample_ids"] == [touched for _, touched, _, _ in patches]
+    for got, (members, touched, normal, offset) in zip(rep.patches, patches):
+        assert got.facet_ids == members
+        assert got.sample_ids == touched
+        assert np.array_equal(got.normal, normal)
+        assert got.offset == offset
+    return rep
 
 
 @pytest.mark.parametrize(
@@ -254,17 +282,57 @@ def union_find_support_polygons(mesh):
     ],
 )
 def test_support_polygons_match_union_find_reference(name, n):
-    mesh = build_hull(sample_uniform(gallery.get(name).curve, n).points)
-    rep = support_polygons(mesh)
-    count, multi, patches = union_find_support_polygons(mesh)
-    patches.sort(key=lambda patch: patch[1])  # by sorted sample indices, smallest first
-    assert (rep.count, rep.coplanar_groups) == (count, multi)
-    assert rep.as_dict()["patch_sample_ids"] == [touched for _, touched, _, _ in patches]
-    for got, (members, touched, normal, offset) in zip(rep.patches, patches):
-        assert got.facet_ids == members
-        assert got.sample_ids == touched
-        assert np.array_equal(got.normal, normal)
-        assert got.offset == offset
+    assert_matches_union_find_reference(build_hull(sample_uniform(gallery.get(name).curve, n).points))
+
+
+def flat_arc_points(n, delta):
+    """The unit circle lifted by 0.2 max(0, 1 - cos 3t - delta): for delta > 0
+    the plane z = 0 holds three arcs a third of the loop apart."""
+    t = np.arange(n) * (2 * np.pi / n)
+    return np.stack(
+        [np.cos(t), np.sin(t), 0.2 * np.maximum(0.0, 1.0 - np.cos(3 * t) - delta)], axis=-1
+    )
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.02, 0.05])
+def test_support_polygons_match_union_find_reference_on_flat_arcs(delta):
+    rep = assert_matches_union_find_reference(build_hull(flat_arc_points(240, delta)))
+    assert rep.count >= 1
+    if delta == 0.02:
+        # one patch of 13 facets lies in z = 0 and touches all three arcs
+        assert any(len(p.facet_ids) == 13 for p in rep.patches)
+
+
+@st.composite
+def snapped_clouds(draw):
+    """5 to 60 grid points in [-1, 1]^3, some snapped onto 1 to 3 faces of the
+    cube, so the hull has coplanar patches of many facets."""
+    m = draw(st.integers(5, 60))
+    grid = st.integers(-64, 64).map(lambda k: k / 64)
+    pts = np.array(draw(st.lists(st.tuples(grid, grid, grid), min_size=m, max_size=m)))
+    planes = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from([-1.0, 1.0])),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    for i, k in enumerate(draw(st.lists(st.integers(-1, len(planes) - 1), min_size=m, max_size=m))):
+        if k >= 0:
+            axis, side = planes[k]
+            pts[i, axis] = side
+    return pts
+
+
+@given(pts=snapped_clouds())
+@settings(max_examples=100, deadline=None)
+def test_support_polygons_match_union_find_reference_on_snapped_clouds(pts):
+    try:
+        mesh = build_hull(pts)
+    except (PlanarCurveError, ValueError):
+        assume(False)
+    assert_matches_union_find_reference(mesh)
 
 
 # ---------------------------------------------------------------- inequality report
