@@ -11,46 +11,36 @@ every pair on a saddle loop and verify both claims against quickhull.
 
 import numpy as np
 
-from curvehull import build_hull, classify_adjacent_pair, gallery, sample_uniform, signed_distance
+from curvehull import build_hull, classify_pairs, gallery, sample_uniform, signed_distance
 
 n = 201  # odd on purpose: perfect antipodal symmetry at even n makes every
 # flip exactly degenerate and the boundary class empty
 sc = sample_uniform(gallery.get("saddle").curve, n)
 mesh = build_hull(sc.points)
 
-counts = {"interior": 0, "boundary": 0, "degenerate": 0}
-boundary_triangles = []
-for i in range(n):
-    for j in range(n):
-        if j in (i, (i + 1) % n):
-            continue
-        cls = classify_adjacent_pair(sc, i, j)
-        counts[cls.label] += 1
-        if cls.label == "boundary":
-            boundary_triangles.append(cls.triangle)
-
+# every pair (i, j) in one grid; j in {i, i+1} spans no triangle
+idx = np.arange(n)
+labels = classify_pairs(sc, idx, idx)[0]
+pair = (idx[None, :] != idx[:, None]) & (idx[None, :] != (idx[:, None] + 1) % n)
+counts = {k: int(np.count_nonzero(labels[pair] == k))
+          for k in ("interior", "boundary", "degenerate")}
 print(f"n = {n}: {counts}")
 
-# boundary triangles: every corner and centroid must lie on the hull surface
-worst = 0.0
-for tri in boundary_triangles:
-    centroid = sc.points[list(tri)].mean(axis=0)
-    worst = max(worst, abs(signed_distance(mesh, centroid)))
-print(f"{len(boundary_triangles)} boundary triangles, worst centroid "
+
+def centroids(i, j):
+    """Centroids of the swept triangles {r_{i+1}, r_j, r_{j+1}}."""
+    return (sc.points[(i + 1) % n] + sc.points[j] + sc.points[(j + 1) % n]) / 3.0
+
+
+# boundary triangles: every centroid must lie on the hull surface
+i, j = np.nonzero(pair & (labels == "boundary"))
+worst = float(np.max(np.abs(signed_distance(mesh, centroids(i, j)))))
+print(f"{len(i)} boundary triangles, worst centroid "
       f"|signed distance| = {worst:.2e} (hull eps = {mesh.eps:.2e})")
 
-# interior spot check: a few interior-labelled pairs give strictly inside
-# centroids
-rng = np.random.default_rng(0)
-inside = 0
-for _ in range(200):
-    i, j = rng.integers(0, n, size=2)
-    if j == i or j == (i + 1) % n:
-        continue
-    cls = classify_adjacent_pair(sc, int(i), int(j))
-    if cls.label != "interior":
-        continue
-    tri = [(int(i) + 1) % n, int(j), (int(j) + 1) % n]
-    if signed_distance(mesh, sc.points[tri].mean(axis=0)) < -mesh.eps:
-        inside += 1
+# interior spot check: of 200 random pairs, the interior-labelled ones give
+# strictly inside centroids
+i, j = np.random.default_rng(0).integers(0, n, size=(200, 2)).T
+keep = pair[i, j] & (labels[i, j] == "interior")
+inside = int(np.count_nonzero(signed_distance(mesh, centroids(i[keep], j[keep])) < -mesh.eps))
 print(f"interior spot check: {inside} sampled interior centroids strictly inside")

@@ -49,9 +49,7 @@ from .hull import (
     support_polygons,
 )
 from .quadrature import (
-    PairClassification,
     VolumeResult,
-    classify_adjacent_pair,
     classify_pairs,
     covering_histogram,
     estimate_covering_multiplicity,
@@ -90,12 +88,10 @@ __all__ = [
     "four_vertex_inequality_report",
     "save_obj",
     "VolumeResult",
-    "PairClassification",
     "triple_product",
     "signed_tetra_volume",
     "tetra_volume_matrix",
     "hull_volume",
-    "classify_adjacent_pair",
     "classify_pairs",
     "estimate_covering_multiplicity",
     "covering_histogram",

@@ -287,10 +287,12 @@ def cmd_diagnose(args, phase) -> int:
     with phase("structure"):
         vertex_report = resolved.vertex_report()
         support = hull.support_polygons(mesh)
-        inequality = hull.four_vertex_inequality_report(
-            vertex_count=vertex_report.vertex_count,
-            support_count=support.count,
-        )
+        # the inequality holds only for a loop on its own convex hull
+        inequality = None
+        if convexity.is_convex:
+            inequality = hull.four_vertex_inequality_report(
+                vertex_report.vertex_count, support.count
+            ).as_dict()
 
     # sign classification over a subsampled index grid
     with phase("classify"):
@@ -319,7 +321,7 @@ def cmd_diagnose(args, phase) -> int:
             "convexity": convexity.is_convex,
             "non_extreme_count": len(convexity.non_extreme),
             "support_polygons": support.as_dict(),
-            "inequality": inequality.as_dict(),
+            "inequality": inequality,
             "pair_classification": classification,
             "multiplicity_histogram": {str(m): count for m, count in histogram.items()},
             "probes": probes,

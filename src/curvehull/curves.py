@@ -97,11 +97,6 @@ class SampledCurve:
     def total_length(self) -> float:
         return float(self.arc_lengths[-1])
 
-    @property
-    def edges(self) -> np.ndarray:
-        """Edge vectors, edges[i] = points[i+1] - points[i] (cyclic)."""
-        return np.roll(self.points, -1, axis=0) - self.points
-
     @classmethod
     def from_points(cls, points, name: str = "") -> "SampledCurve":
         """Build a closed loop from raw points (implicitly closed, first after last)."""
@@ -120,22 +115,6 @@ class SampledCurve:
             )
         arc = np.concatenate([[0.0], np.cumsum(seg)])
         return cls(points=pts, arc_lengths=arc, name=name)
-
-    def scaled(self, factor: float) -> "SampledCurve":
-        return SampledCurve(
-            points=self.points * factor,
-            arc_lengths=self.arc_lengths * abs(factor),
-            name=self.name,
-        )
-
-    def transformed(self, rotation=None, offset=None) -> "SampledCurve":
-        """Apply a rigid motion p -> R p + c. Arc lengths are unchanged."""
-        pts = self.points
-        if rotation is not None:
-            pts = pts @ np.asarray(rotation, dtype=np.float64).T
-        if offset is not None:
-            pts = pts + np.asarray(offset, dtype=np.float64)
-        return SampledCurve(points=pts, arc_lengths=self.arc_lengths.copy(), name=self.name)
 
 
 def sample_uniform(curve: AnalyticCurve, n: int) -> SampledCurve:

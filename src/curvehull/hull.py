@@ -304,21 +304,12 @@ class InequalityReport:
         return asdict(self)
 
 
-def four_vertex_inequality_report(vertex_count, support_count) -> InequalityReport:
+def four_vertex_inequality_report(vertex_count: int, support_count: int) -> InequalityReport:
     """Evaluate V + 2K + 2d - (4 + P) with K = d = 0; nonnegative slack means satisfied.
 
-    vertex_count may be a plain integer or a VertexReport (planar reports
-    are rejected: torsion sign counting is meaningless there). Likewise
-    support_count may be an integer or a SupportPolygonReport.
+    The inequality holds for a nonplanar loop on its own convex hull; the
+    caller checks planarity and convexity before asking.
     """
-    if hasattr(vertex_count, "vertex_count"):
-        if vertex_count.is_planar:
-            raise PlanarCurveError(
-                "vertex count undefined for a planar curve; no inequality to check"
-            )
-        vertex_count = vertex_count.vertex_count
-    if hasattr(support_count, "count"):
-        support_count = support_count.count
     slack = vertex_count - 4 - support_count
     return InequalityReport(
         vertex_count=vertex_count,

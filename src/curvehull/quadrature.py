@@ -195,28 +195,15 @@ def hull_volume(
 # Sign classification of adjacent chord pairs
 
 
-@dataclass(eq=False)
-class PairClassification:
-    """How chord (i, j) relates to chord (i+1, j), by tetra volume signs.
-
-    Equal signs mean the triangle {r_{i+1}, r_j, r_{j+1}} is crossed twice or
-    not at all (interior pair); opposite signs mean it lies on the hull
-    boundary and triangle gives its sample indices. Volumes below
-    DEGENERACY_RTOL * L^3 are degenerate: no sign is trusted.
-    """
-
-    label: str  # "interior" | "boundary" | "degenerate"
-    v_first: float
-    v_second: float
-    triangle: Optional[tuple]
-
-
 def classify_pairs(curve: SampledCurve, rows, cols) -> tuple:
     """Label the sign flip between V_ij and V_{i+1,j} for i in rows, j in cols.
 
-    Returns (labels, V_ij, V_{i+1,j}), each of shape (len(rows), len(cols));
-    labels holds "interior", "boundary" or "degenerate" by the rule of
-    PairClassification. Both volume grids come from one tetra_volume_matrix call.
+    Returns (labels, V_ij, V_{i+1,j}), each of shape (len(rows), len(cols)).
+    Equal signs label the pair "interior": the triangle
+    {r_{i+1}, r_j, r_{j+1}} is crossed twice or not at all. Opposite signs
+    label it "boundary": that triangle lies on the hull boundary. A volume
+    at or below DEGENERACY_RTOL * L^3 labels it "degenerate": no sign is
+    trusted. Both volume grids come from one tetra_volume_matrix call.
     """
     rows = np.asarray(rows)
     v = tetra_volume_matrix(curve, rows=np.concatenate([rows, (rows + 1) % curve.n]), cols=cols)
@@ -225,15 +212,6 @@ def classify_pairs(curve: SampledCurve, rows, cols) -> tuple:
     degenerate = (np.abs(v1) <= floor) | (np.abs(v2) <= floor)
     labels = np.where((v1 > 0) == (v2 > 0), "interior", "boundary")
     return np.where(degenerate, "degenerate", labels), v1, v2
-
-
-def classify_adjacent_pair(curve: SampledCurve, i: int, j: int) -> PairClassification:
-    """Classify the sign flip between V_ij and V_{i+1,j}: classify_pairs on one pair."""
-    n = curve.n
-    labels, v1, v2 = classify_pairs(curve, [i % n], [j % n])
-    label = str(labels[0, 0])
-    tri = ((i + 1) % n, j % n, (j + 1) % n) if label == "boundary" else None
-    return PairClassification(label, float(v1[0, 0]), float(v2[0, 0]), tri)
 
 
 # ----------------------------------------------------------------------------

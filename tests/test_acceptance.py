@@ -12,7 +12,7 @@ from conftest import ORACLE_SAMPLES, random_rotation
 from curvehull import (
     SampledCurve,
     build_hull,
-    classify_adjacent_pair,
+    classify_pairs,
     count_vertices,
     estimate_covering_multiplicity,
     four_vertex_inequality_report,
@@ -127,22 +127,18 @@ def test_criterion_05_sign_flip_classification_is_sound(
     n = 200
     sc = sample_uniform(saddle_curve, n)
     mesh = build_hull(sc.points)
-    boundary_bad = interior_bad = 0
-    counts = {"interior": 0, "boundary": 0, "degenerate": 0}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            c = classify_adjacent_pair(sc, i, j)
-            counts[c.label] += 1
-            if c.label == "boundary":
-                mid = sc.points[list(c.triangle)].mean(axis=0)
-                if abs(signed_distance(mesh, mid)) > mesh.eps:
-                    boundary_bad += 1
-            elif c.label == "interior":
-                tri = (sc.points[(i + 1) % n] + sc.points[j] + sc.points[(j + 1) % n]) / 3.0
-                if signed_distance(mesh, tri) >= -mesh.eps:
-                    interior_bad += 1
+    idx = np.arange(n)
+    labels = classify_pairs(sc, idx, idx)[0]
+    i, j = np.nonzero(idx[:, None] != idx[None, :])
+    labels = labels[i, j]
+    counts = {
+        k: int(np.count_nonzero(labels == k)) for k in ("interior", "boundary", "degenerate")
+    }
+    # centroid of the swept triangle {r_{i+1}, r_j, r_{j+1}} of each pair
+    tri = (sc.points[(i + 1) % n] + sc.points[j] + sc.points[(j + 1) % n]) / 3.0
+    dist = signed_distance(mesh, tri)
+    boundary_bad = int(np.count_nonzero((labels == "boundary") & (np.abs(dist) > mesh.eps)))
+    interior_bad = int(np.count_nonzero((labels == "interior") & (dist >= -mesh.eps)))
     check(
         acceptance_record,
         5,
@@ -160,7 +156,7 @@ def test_criterion_06_planar_area_formulas(acceptance_record, rng):
     circle = sample_uniform(gallery.get("ellipse:a=1,b=1").curve, 10_000)
     circ_err = abs(planar_area_integral(circle) - np.pi)
     rot = random_rotation(rng)
-    moved = square.transformed(rotation=rot, offset=[1.0, 2.0, 3.0])
+    moved = SampledCurve.from_points(square.points @ rot.T + [1.0, 2.0, 3.0])
     rot_err = abs(planar_area_integral(moved) - planar_area_integral(square))
     check(
         acceptance_record,
@@ -198,11 +194,11 @@ def test_criterion_08_invariances_of_the_double_sum(
     sc = sample_uniform(saddle_curve, 250)
     base = hull_volume(sc, force=True).volume
 
-    moved = sc.transformed(rotation=random_rotation(rng), offset=[4.0, -3.0, 7.0])
+    moved = SampledCurve.from_points(sc.points @ random_rotation(rng).T + [4.0, -3.0, 7.0])
     rigid_err = abs(hull_volume(moved, force=True).volume - base) / base
 
     factor = 1.7
-    scaled = hull_volume(sc.scaled(factor), force=True).volume
+    scaled = hull_volume(SampledCurve.from_points(sc.points * factor), force=True).volume
     scale_err = abs(scaled / factor**3 - base) / base
 
     quad = rng.standard_normal((10_000, 4, 3))

@@ -477,6 +477,24 @@ def test_diagnose_wobble_inequality_is_tight(capsys):
     assert rep["inequality"]["satisfied"] is True
 
 
+@pytest.mark.parametrize(
+    "spec, n, convex, patches",
+    [("trefoil", 300, False, 2), ("saddle", 300, True, 0), ("wobble:k=3", 400, True, 2)],
+)
+def test_diagnose_prints_no_inequality_for_a_non_convex_loop(spec, n, convex, patches, capsys):
+    # V + 2K >= 4 + P is a theorem about a loop on its own convex hull; the
+    # trefoil buries samples, so its patches are listed but not audited
+    code, rep = cli_json(capsys, "diagnose", spec, "--n", str(n), "--probes", "20")
+    assert code == 0
+    assert rep["convexity"] is convex
+    assert rep["support_polygons"]["count"] == patches
+    if convex:
+        assert rep["inequality"]["support_count"] == patches
+    else:
+        assert rep["non_extreme_count"] > 0
+        assert rep["inequality"] is None
+
+
 def test_diagnose_seed_changes_probe_stream(capsys):
     _, rep1 = cli_json(capsys, "diagnose", "saddle", "--n", "300", "--probes", "5")
     _, rep2 = cli_json(

@@ -349,22 +349,15 @@ def test_inequality_arithmetic(v, p, satisfied, slack):
     assert rep.kink_count == 0 and rep.tangent_arc_count == 0
 
 
-def test_inequality_accepts_report_objects():
+def test_inequality_takes_the_counts_of_both_reports():
     curve = gallery.get("saddle").curve
     vrep = count_vertices(frenet_profile(curve, 1024))
     sc = sample_uniform(curve, 300)
     srep = support_polygons(build_hull(sc.points))
-    rep = four_vertex_inequality_report(vrep, srep)
+    rep = four_vertex_inequality_report(vrep.vertex_count, srep.count)
     assert rep.vertex_count == 4
     assert rep.support_count == srep.count
     assert rep.slack == 4 - srep.count - 4
-
-
-def test_inequality_rejects_planar_vertex_report():
-    vrep = count_vertices(frenet_profile(gallery.get("ellipse").curve, 1024))
-    assert vrep.is_planar
-    with pytest.raises(PlanarCurveError):
-        four_vertex_inequality_report(vrep, 0)
 
 
 def test_wobble_inequality_is_tight():

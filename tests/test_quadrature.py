@@ -15,7 +15,6 @@ from curvehull import (
     SampledCurve,
     VertexCountError,
     build_hull,
-    classify_adjacent_pair,
     classify_pairs,
     covering_histogram,
     estimate_covering_multiplicity,
@@ -148,14 +147,14 @@ def test_volume_orientation_reversal_invariance(saddle_curve):
 def test_volume_scaling_by_two_is_exact(saddle_curve):
     sc = sample_uniform(saddle_curve, 250)
     v = hull_volume(sc, force=True).volume
-    v2 = hull_volume(sc.scaled(2.0), force=True).volume
+    v2 = hull_volume(SampledCurve.from_points(sc.points * 2.0), force=True).volume
     assert v2 == 8.0 * v  # powers of two scale every product exactly
 
 
 def test_volume_rigid_motion_invariance(saddle_curve, rng):
     sc = sample_uniform(saddle_curve, 250)
     v = hull_volume(sc, force=True).volume
-    moved = sc.transformed(rotation=random_rotation(rng), offset=[5.0, -2.0, 11.0])
+    moved = SampledCurve.from_points(sc.points @ random_rotation(rng).T + [5.0, -2.0, 11.0])
     v2 = hull_volume(moved, force=True).volume
     assert v2 == pytest.approx(v, rel=1e-9)
 
@@ -212,24 +211,6 @@ def test_classify_pairs_matches_per_pair_signs(name, n):
     assert np.argwhere(labels != want).tolist() == []
     assert np.max(np.abs(v_first - ref)) <= 1e-15
     assert np.max(np.abs(v_second - ref_next)) <= 1e-15
-
-
-def test_classify_adjacent_pair_is_one_cell_of_the_grid(saddle_curve):
-    sc = sample_uniform(saddle_curve, 201)
-    n = sc.n
-    labels, v_first, v_second = classify_pairs(sc, np.arange(n), np.arange(n))
-    bi, bj = np.nonzero(labels == "boundary")
-    pairs = set(zip(bi.tolist(), bj.tolist()))
-    pairs |= {(i, j) for i in range(0, n, 7) for j in range(n)}
-    for i, j in sorted(pairs):
-        c = classify_adjacent_pair(sc, i, j)
-        assert c.label == labels[i, j]
-        assert abs(c.v_first - v_first[i, j]) <= 1e-15
-        assert abs(c.v_second - v_second[i, j]) <= 1e-15
-        want = ((i + 1) % n, j, (j + 1) % n) if c.label == "boundary" else None
-        assert c.triangle == want
-    # indices wrap around the loop
-    assert classify_adjacent_pair(sc, int(bi[0]) + n, int(bj[0]) - n).label == "boundary"
 
 
 # ---------------------------------------------------------------- multiplicity
