@@ -9,8 +9,6 @@ from. Here we count the chords through a point directly: the ordered edge
 pairs whose tetrahedron holds it.
 """
 
-import numpy as np
-
 from curvehull import (
     build_hull,
     covering_histogram,
@@ -26,7 +24,7 @@ mesh = build_hull(sc.points)
 
 print("saddle, a few handpicked interior points:")
 for p in ([0, 0, 0], [0.3, 0.1, 0.0], [-0.2, 0.4, 0.1], [0.0, 0.0, 0.6]):
-    m = estimate_covering_multiplicity(sc, np.array(p, dtype=float), mesh)
+    m = estimate_covering_multiplicity(sc, p)
     print(f"  {p}: multiplicity {m}")
 
 # the probes of `curvehull diagnose`: uniform box draws kept a safe distance

@@ -29,11 +29,12 @@ mesh = build_hull(sc.points)
 print(f"baseball hull: {mesh.n_vertices} vertices, {mesh.n_facets} facets, "
       f"volume {mesh_volume(mesh):.6f}")
 
-path = os.path.join(tempfile.gettempdir(), "baseball_hull.obj")
-save_obj(mesh, path)
-with open(path) as fh:
-    lines = fh.readlines()
-print(f"wrote {path}: {len(lines)} lines, first two:")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "baseball_hull.obj")
+    save_obj(mesh, path)
+    with open(path) as fh:
+        lines = fh.readlines()
+print(f"wrote {os.path.basename(path)}: {len(lines)} lines, first two:")
 print("  " + lines[0].strip())
 print("  " + lines[1].strip())
 

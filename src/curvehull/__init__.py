@@ -32,7 +32,6 @@ from .errors import (
     NonConvexCurveError,
     NonPlanarCurveError,
     NotClosedError,
-    OutsideHullError,
     PlanarCurveError,
     VertexCountError,
 )
@@ -105,6 +104,5 @@ __all__ = [
     "NonConvexCurveError",
     "DegenerateCurveError",
     "NotClosedError",
-    "OutsideHullError",
     "__version__",
 ]

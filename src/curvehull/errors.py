@@ -55,7 +55,3 @@ class NotClosedError(GateError):
     """Endpoints of the parameterized curve do not meet within tolerance."""
 
     gate = "closure"
-
-
-class OutsideHullError(CurveHullError):
-    """A probe point lies outside (or on the boundary of) the hull."""

@@ -22,19 +22,19 @@ import numpy as np
 from . import hull as _hull
 from .curves import (
     SampledCurve,
+    as_point_array,
     discrete_vertex_report,
     planarity_check,
     require_nonplanar,
     require_vertex_count,
 )
-from .errors import NonPlanarCurveError, OutsideHullError
+from .errors import NonPlanarCurveError
 
 COVERING_MULTIPLICITY = 4  # the paper's divisor: chords cover the hull 4 times
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
 PROBE_MARGIN_RTOL = 0.01  # probe clearance vs L; nearer a sample the screen passes most pairs
 _CHUNK_ROWS = 128         # row block size for the double sum and tetrahedron count
 _PROBE_BATCH = 32         # probe draws tested against the hull per signed_distance call
-_BLAS_SERIAL_MNK = 100**3  # OpenBLAS runs a dgemm on one thread while M N K is at most this
 _SCREEN_SLACK = 1e-9      # rounding allowance of the angular tetrahedron screen
 _FACE_RTOL = 8 * np.finfo(np.float64).eps  # face-sign rounding bound vs |q_e||q_e+1||q_a|
 _NUDGE = np.array([1.0, np.sqrt(2.0), np.pi])  # generic direction D that breaks face ties
@@ -223,8 +223,15 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
-def _tetra_count(points: np.ndarray, p: np.ndarray) -> int:
-    """Ordered non-adjacent edge pairs (i, j) whose tetrahedron holds p.
+def estimate_covering_multiplicity(curve: SampledCurve, point) -> int:
+    """Covering multiplicity at a point: the ordered non-adjacent edge pairs
+    (i, j) whose tetrahedron conv(r_i, r_{i+1}, r_j, r_{j+1}) holds it.
+
+    The tetrahedron of edges i and j is the family of chords between them,
+    so this counts the chords through the point, each in both orders: a
+    doubly covered point gives 4, and a point outside the hull gives 0. The
+    count is exact and needs O(n) extra memory. Raises ValueError unless
+    point is one finite 3-vector.
 
     With q_k = r_k - p and C_e = q_e x q_{e+1}, the face of edge e and apex
     a has F(e, a) = [q_e, q_{e+1}, q_a] = q_a . C_e, and the kernel's
@@ -234,7 +241,8 @@ def _tetra_count(points: np.ndarray, p: np.ndarray) -> int:
     |F| > _FACE_RTOL |q_e| |q_{e+1}| |q_a| bounds its rounding, and
     otherwise taken at p + eps D, D = _NUDGE: the sign of
     -((r_{e+1} - r_e) x (r_a - r_e)) . D. Both depend on (e, a) alone, so
-    the two tetrahedra that share a face see p on the same side of it.
+    the two tetrahedra that share a face see p on the same side of it, and
+    a point on a face or chord counts as if nudged by eps D.
 
     Only pairs that pass an exact angular screen are tested. p in the
     tetrahedron lies on a segment from edge i to edge j, so the angle
@@ -245,10 +253,11 @@ def _tetra_count(points: np.ndarray, p: np.ndarray) -> int:
     does not depend on BLAS.
 
     The screened pairs are gathered across _upper_blocks and their face
-    signs tested in one pass once n of them are held: the few pairs of a
-    typical probe take one pass, and a block that passes many is tested on
-    its own, so memory stays O(n) when every pair passes.
+    signs tested in one pass once n of them are held, so memory stays O(n)
+    when every pair passes.
     """
+    points = curve.points
+    p = as_point_array(np.reshape(point, (1, 3)))[0]
     n = len(points)
     q = points - p
     d = np.linalg.norm(q, axis=1)
@@ -273,8 +282,7 @@ def _tetra_count(points: np.ndarray, p: np.ndarray) -> int:
         return np.sign(f)
 
     def count_inside(rows, cols):
-        # one block's pairs are tested in place, without a copy
-        i, j = (rows[0], cols[0]) if len(rows) == 1 else map(np.concatenate, (rows, cols))
+        i, j = np.concatenate(rows), np.concatenate(cols)
         sign = face_sign(j, i + 1)
         # each face test keeps only the pairs still inside, so the later ones
         # see few pairs when the screen passes many
@@ -297,29 +305,6 @@ def _tetra_count(points: np.ndarray, p: np.ndarray) -> int:
             inside += count_inside(rows, cols)
             rows, cols, gathered = [], [], 0
     return 2 * (inside + (count_inside(rows, cols) if rows else 0))
-
-
-def estimate_covering_multiplicity(curve: SampledCurve, point, mesh: _hull.HullMesh) -> int:
-    """Covering multiplicity at an interior point: the ordered edge pairs
-    (i, j) whose tetrahedron conv(r_i, r_{i+1}, r_j, r_{j+1}) holds it.
-
-    The tetrahedron of edges i and j is the family of chords between them,
-    so this counts the chords through the point, each in both orders: a
-    doubly covered point gives 4. The count is exact, with a point on a
-    face counted as if nudged off it in one fixed direction (_tetra_count),
-    and needs O(n) extra memory.
-
-    mesh is the hull of the samples (build_hull(curve.points)), built once
-    for any number of probes. The probe must lie strictly inside it; raises
-    OutsideHullError otherwise.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    d = _hull.signed_distance(mesh, p)
-    if d >= -mesh.eps:
-        raise OutsideHullError(
-            f"probe point is not strictly inside the hull (signed distance {d:.3g})"
-        )
-    return _tetra_count(curve.points, p)
 
 
 def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, seed) -> tuple:
@@ -346,13 +331,11 @@ def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, s
     hi = curve.points.max(axis=0)
     margin = PROBE_MARGIN_RTOL * curve.total_length
     cap = probes * 1000
-    # a draw of shape (k, 3) yields the numbers of k draws of one point, and
-    # a batch this small keeps the distance matmul on one BLAS thread
-    batch = max(1, min(_PROBE_BATCH, _BLAS_SERIAL_MNK // (3 * mesh.n_facets)))
     histogram = {}
     outside = near_boundary = evaluated = attempts = 0
     while evaluated < probes and attempts < cap:
-        draws = rng.uniform(lo, hi, size=(min(batch, cap - attempts), 3))
+        # a draw of shape (k, 3) yields the numbers of k draws of one point
+        draws = rng.uniform(lo, hi, size=(min(_PROBE_BATCH, cap - attempts), 3))
         for p, sd in zip(draws, _hull.signed_distance(mesh, draws)):
             attempts += 1
             if sd >= -mesh.eps:
@@ -362,7 +345,7 @@ def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, s
                 near_boundary += 1
                 continue
             evaluated += 1
-            m = estimate_covering_multiplicity(curve, p, mesh)
+            m = estimate_covering_multiplicity(curve, p)
             histogram[m] = histogram.get(m, 0) + 1
             if evaluated == probes:
                 break

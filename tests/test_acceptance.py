@@ -108,7 +108,7 @@ def test_criterion_04_interior_points_are_covered_four_times(
         if sd >= -margin:  # outside or near the boundary: flagged, not counted
             continue
         evaluated += 1
-        m = estimate_covering_multiplicity(sc, p, mesh=mesh)
+        m = estimate_covering_multiplicity(sc, p)
         histogram[m] = histogram.get(m, 0) + 1
     exactly_four = histogram.get(4, 0)
     others = evaluated - exactly_four
@@ -124,7 +124,7 @@ def test_criterion_04_interior_points_are_covered_four_times(
 def test_criterion_05_sign_flip_classification_is_sound(
     acceptance_record, saddle_curve
 ):
-    n = 200
+    n = 201  # odd, as in demo 04: at even n every saddle sign flip is degenerate
     sc = sample_uniform(saddle_curve, n)
     mesh = build_hull(sc.points)
     idx = np.arange(n)
@@ -142,9 +142,9 @@ def test_criterion_05_sign_flip_classification_is_sound(
     check(
         acceptance_record,
         5,
-        boundary_bad == 0 and interior_bad == 0,
-        f"n=200 pairs {counts}: 0/{counts['boundary']} boundary triangles off the "
-        f"hull, 0/{counts['interior']} interior centroids outside",
+        counts["boundary"] > 0 and boundary_bad == 0 and interior_bad == 0,
+        f"n={n} pairs {counts}: {boundary_bad}/{counts['boundary']} boundary triangles "
+        f"off the hull, {interior_bad}/{counts['interior']} interior centroids outside",
     )
 
 

@@ -8,8 +8,8 @@ adjacent chord pair on a saddle loop (classify_pairs), demo 05 an OBJ export
 and planar areas (save_obj, planar_area_integral) and demo 06 the support
 patches of the gallery (support_polygons). Each demo's stdout must equal the
 text below byte for byte, except demo 01's seconds column, a wall time.
-Demo 05 writes its mesh under TMPDIR, set to a fresh directory and printed
-here as $TMPDIR.
+Each demo runs with TMPDIR set to a fresh directory, which it must leave
+empty: demo 05 writes its mesh into a temporary directory it removes.
 """
 
 import os
@@ -77,7 +77,7 @@ DEMO_04 = (
 
 DEMO_05 = (
     "baseball hull: 400 vertices, 796 facets, volume 2.858388\n"
-    "wrote $TMPDIR/baseball_hull.obj: 1196 lines, first two:\n"
+    "wrote baseball_hull.obj: 1196 lines, first two:\n"
     "  v 1.1499999999999999 0 0\n"
     "  v 1.1497204034096506 0.0084865131640261739 0.021593857465914031\n"
     "baseball: 0 support patches\n"
@@ -103,7 +103,7 @@ DEMO_06 = (
 
 
 def run_demo(script, tmp_path):
-    """The demo's stdout, with the TMPDIR it ran under printed as $TMPDIR."""
+    """The demo's stdout; it runs with TMPDIR set to tmp_path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -117,7 +117,8 @@ def run_demo(script, tmp_path):
         check=True,
         timeout=120,
     ).stdout
-    return out.replace(str(tmp_path), "$TMPDIR")
+    assert list(tmp_path.iterdir()) == []
+    return out
 
 
 @pytest.mark.parametrize(
