@@ -54,9 +54,7 @@ from .quadrature import (
     estimate_covering_multiplicity,
     hull_volume,
     planar_area_integral,
-    signed_tetra_volume,
     tetra_volume_matrix,
-    triple_product,
 )
 from . import gallery
 
@@ -87,8 +85,6 @@ __all__ = [
     "four_vertex_inequality_report",
     "save_obj",
     "VolumeResult",
-    "triple_product",
-    "signed_tetra_volume",
     "tetra_volume_matrix",
     "hull_volume",
     "classify_pairs",

@@ -405,7 +405,7 @@ def is_convex_curve(curve: SampledCurve) -> ConvexityResult:
     the HullMesh it read, so a caller needing the hull of the same samples
     takes it from there.
     """
-    from . import hull as _hull  # local import: hull builds on scipy
+    from . import hull as _hull  # local import: hull imports this module
 
     require_nonplanar(curve)
     mesh = _hull.build_hull(curve.points)

@@ -6,6 +6,11 @@ The raw hull comes from scipy's qhull wrapper; everything downstream
 (orientation repair, structural validation, volume, distances, patch
 grouping) is computed here so results can be cross-checked against the
 chord-sum formula independently.
+
+scipy is imported the first time build_hull runs, not when this module
+loads, so a process that builds no hull never loads it. Importing
+scipy.spatial is most of a fresh start: a command that builds no hull
+starts in about 0.2 s, one that does in about 0.65 s (2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .curves import PLANARITY_RTOL, as_point_array, plane_deviation
 from .errors import CurveHullError, PlanarCurveError
@@ -77,6 +81,8 @@ def build_hull(points) -> HullMesh:
         raise PlanarCurveError(
             "point set is (near) coplanar, its hull has no volume", rel_deviation=rel
         )
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         ch = ConvexHull(pts)
     except QhullError as exc:

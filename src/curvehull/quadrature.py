@@ -40,25 +40,6 @@ _FACE_RTOL = 8 * np.finfo(np.float64).eps  # face-sign rounding bound vs |q_e||q
 _NUDGE = np.array([1.0, np.sqrt(2.0), np.pi])  # generic direction D that breaks face ties
 
 
-def triple_product(a, b, c):
-    """Scalar triple product [a, b, c] = (a x b) . c, broadcasting over rows."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    r = np.einsum("...i,...i->...", np.cross(a, b), c)
-    return float(r) if r.ndim == 0 else r
-
-
-def signed_tetra_volume(curve: SampledCurve, i: int, j: int) -> float:
-    """Signed volume V_ij of the tetra on edge i, chord (i, j), and edge j:
-    (1/6) [r_{i+1} - r_i, r_j - r_i, r_{j+1} - r_i]."""
-    r = curve.points
-    n = len(r)
-    ri, ri1 = r[i % n], r[(i + 1) % n]
-    rj, rj1 = r[j % n], r[(j + 1) % n]
-    return triple_product(ri1 - ri, rj - ri, rj1 - ri) / 6.0
-
-
 def _tetra_factors(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
     """Rank-6 factors A (len(rows), 6) and B^T (6, len(cols)) with 6 V = A B^T.
 

@@ -79,3 +79,25 @@ def random_rotation(rng) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def triple_product(a, b, c):
+    """Scalar triple product [a, b, c] = (a x b) . c, broadcasting over rows.
+
+    A reference for the package's one V_ij route, the rank-6 factors of
+    quadrature._tetra_factors."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    r = np.einsum("...i,...i->...", np.cross(a, b), c)
+    return float(r) if r.ndim == 0 else r
+
+
+def signed_tetra_volume(curve, i: int, j: int) -> float:
+    """Signed volume V_ij of the tetra on edge i, chord (i, j), and edge j:
+    (1/6) [r_{i+1} - r_i, r_j - r_i, r_{j+1} - r_i]."""
+    r = curve.points
+    n = len(r)
+    ri, ri1 = r[i % n], r[(i + 1) % n]
+    rj, rj1 = r[j % n], r[(j + 1) % n]
+    return triple_product(ri1 - ri, rj - ri, rj1 - ri) / 6.0

@@ -7,7 +7,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import ORACLE_SAMPLES, random_rotation
+from conftest import (
+    ORACLE_SAMPLES,
+    random_rotation,
+    signed_tetra_volume,
+    triple_product,
+)
 
 from curvehull import (
     SampledCurve,
@@ -23,9 +28,7 @@ from curvehull import (
     planar_area_integral,
     sample_uniform,
     signed_distance,
-    signed_tetra_volume,
     support_polygons,
-    triple_product,
 )
 from curvehull.cli import main
 

@@ -690,6 +690,50 @@ def test_python_dash_m_package_runs():
     assert json.loads(proc.stdout)["command"] == "volume"
 
 
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import curvehull.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+rows = [["import curvehull.cli", None, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    rows.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(rows))
+"""
+
+
+def test_scipy_loads_only_when_a_hull_is_built():
+    # qhull is imported by build_hull, so a command that stops before its
+    # first hull never pays for scipy; the one fresh interpreter runs them in turn
+    src = str(Path(curvehull.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    commands = [
+        (["gallery-list"], 0),
+        (["area", "ellipse"], 0),
+        (["volume", "ellipse"], 1),  # planarity gate
+        (["volume", "wobble:k=3"], 1),  # vertex gate
+        (["volume", "saddle", "--n", "0"], 2),  # usage error
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE,
+         json.dumps([argv for argv, _ in commands] + [["volume", "saddle", "--n", "256"]])],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert rows[0] == ["import curvehull.cli", None, []]
+    for (argv, code), row in zip(commands, rows[1:]):
+        assert row == [" ".join(argv), code, []]
+    label, code, loaded = rows[-1]
+    assert (label, code) == ("volume saddle --n 256", 0)
+    assert "scipy.spatial" in loaded
+
+
 def test_volume_bits_ignore_blas_and_worker_threads():
     src = str(Path(curvehull.__file__).resolve().parents[1])
     outs = set()

@@ -4,7 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import lifted_circle_points, random_rotation
+from conftest import (
+    lifted_circle_points,
+    random_rotation,
+    signed_tetra_volume,
+    triple_product,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +29,7 @@ from curvehull import (
     planar_area_integral,
     sample_uniform,
     signed_distance,
-    signed_tetra_volume,
     tetra_volume_matrix,
-    triple_product,
 )
 from curvehull.quadrature import (
     _NUDGE,
