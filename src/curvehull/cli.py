@@ -2,8 +2,7 @@
 
 Subcommands: volume, area, converge, diagnose, export-mesh, gallery-list.
 Reports go to stdout as JSON (CSV for converge); timings go to stderr so
-that stdout is byte-identical across repeated runs and thread counts, apart
-from converge's per-row seconds.
+that stdout is byte-identical across repeated runs and thread counts.
 Exit codes: 0 success, 1 validity gate failed, 2 I/O or parse error.
 
 Curves are given either as gallery specs ("saddle", "wobble:k=5") or as
@@ -54,18 +53,19 @@ def _json_default(obj):
 
 def _emit(command: str, fields: dict) -> None:
     """Print one report: fields plus the schema version and command name."""
-    report = {"schema": 1, "command": command, **fields}
+    report = {"schema": 2, "command": command, **fields}
     print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
 
 
 class _PhaseTimer(dict):
-    """Seconds per named phase; `with phase("gates"): ...` times one phase."""
+    """Seconds per named phase; `with phase("gates"): ...` times one phase,
+    and a phase timed again adds to its total."""
 
     @contextlib.contextmanager
     def __call__(self, name: str):
         t0 = time.perf_counter()
         yield
-        self[name] = time.perf_counter() - t0
+        self[name] = self.get(name, 0.0) + time.perf_counter() - t0
 
 
 def _at_least(low: int, what: str):
@@ -194,11 +194,9 @@ def cmd_volume(args, phase) -> int:
         {
             "curve_name": resolved.path.name,
             "n": samples.n,
-            "multiplicity_m": quadrature.COVERING_MULTIPLICITY,
             "planarity": flat.as_dict(),
             "vertex_report": vertex_report.as_dict() if vertex_report else None,
             "convexity": convexity.is_convex if convexity else None,
-            "non_extreme_count": len(convexity.non_extreme) if convexity else None,
             "discrete_gap": discrete_gap,
             "formula_volume": result.as_dict(),
             "oracle_volume": oracle,
@@ -244,11 +242,9 @@ def cmd_converge(args, phase) -> int:
 
     rows = []
     for samples in ladder:
-        t0 = time.perf_counter()
-        result = hull_volume(samples, force=True)
-        seconds = time.perf_counter() - t0
-        gap = abs(result.volume - oracle) / oracle
-        rows.append((samples.n, result.volume, oracle, gap, seconds))
+        with phase(f"n={samples.n}"):
+            volume = hull_volume(samples, force=True).volume
+        rows.append((samples.n, volume, oracle, abs(volume - oracle) / oracle))
 
     if args.json:
         _emit(
@@ -257,21 +253,15 @@ def cmd_converge(args, phase) -> int:
                 "curve_name": resolved.path.name,
                 "oracle_samples": ORACLE_SAMPLES if resolved.path.has_derivatives else None,
                 "rows": [
-                    {
-                        "n": n,
-                        "formula_volume": v,
-                        "oracle_volume": o,
-                        "relative_gap": g,
-                        "seconds": round(s, 3),
-                    }
-                    for n, v, o, g, s in rows
+                    {"n": n, "formula_volume": v, "oracle_volume": o, "relative_gap": g}
+                    for n, v, o, g in rows
                 ],
             },
         )
     else:
-        print("n,formula_volume,oracle_volume,relative_gap,seconds")
-        for n, v, o, g, s in rows:
-            print(f"{n},{v:.17g},{o:.17g},{g:.6g},{s:.3f}")
+        print("n,formula_volume,oracle_volume,relative_gap")
+        for n, v, o, g in rows:
+            print(f"{n},{v:.17g},{o:.17g},{g:.6g}")
     return 0
 
 

@@ -291,18 +291,17 @@ def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
 
 @dataclass(eq=False)
 class InequalityReport:
-    """Check of V + 2K + 2d >= 4 + P for a sampled convex loop.
+    """Check of V + 2K + 2d >= 4 + P for a sampled convex loop, with K = d = 0.
 
-    V: torsion sign changes; K: kink count (corners with a tangent jump,
-    zero for the smooth curves handled here); d: count of planes tangent
-    along a whole arc, assumed 0 for curves in general position; P: support
-    patches from support_polygons.
+    V: torsion sign changes (vertex_count); P: support patches from
+    support_polygons (support_count). K, the kinks (corners with a tangent
+    jump), is 0 for the smooth curves handled here, and d, the planes
+    tangent along a whole arc, is taken as 0 for curves in general
+    position, so neither is a field.
     """
 
     vertex_count: int
-    kink_count: int
     support_count: int
-    tangent_arc_count: int
     satisfied: bool
     slack: int
 
@@ -319,9 +318,7 @@ def four_vertex_inequality_report(vertex_count: int, support_count: int) -> Ineq
     slack = vertex_count - 4 - support_count
     return InequalityReport(
         vertex_count=vertex_count,
-        kink_count=0,
         support_count=support_count,
-        tangent_arc_count=0,
         satisfied=slack >= 0,
         slack=slack,
     )

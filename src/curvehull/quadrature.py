@@ -136,12 +136,7 @@ class VolumeResult:
     error_estimate: Optional[float] = None
 
     def as_dict(self) -> dict:
-        return {
-            "volume": self.volume,
-            "n": self.n,
-            "multiplicity_m": COVERING_MULTIPLICITY,
-            "error_estimate": self.error_estimate,
-        }
+        return {"volume": self.volume, "error_estimate": self.error_estimate}
 
 
 def hull_volume(
@@ -300,8 +295,8 @@ def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, s
     until probes have been evaluated; a probe that no tetrahedron holds is
     the bin m = 0. Returns ({m: count} in ascending m, counters), the
     counters being requested, evaluated, rejected_outside,
-    rejected_near_boundary and chord_failures, always 0 (kept for the
-    schema-1 report).
+    rejected_near_boundary and chord_failures, always 0 (kept because
+    perfbench/run.py reads it).
 
     Draws are made and tested against mesh up to _PROBE_BATCH at a time, in
     one signed_distance call, and used in order, so the result is that of

@@ -62,7 +62,7 @@ def saddle_file(tmp_path, n):
 def test_volume_verified_run(saddle_oracle_volume, capsys):
     code, rep = cli_json(capsys, "volume", "saddle", "--n", "500", "--verify")
     assert code == 0
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert rep["relative_gap"] < 1e-3
     # the two-hull oracle against the acceptance gate's 200k-point hull
     assert abs(rep["oracle_volume"] - saddle_oracle_volume) / saddle_oracle_volume < 2e-9
@@ -393,11 +393,14 @@ def test_converge_csv_gaps_decrease(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,formula_volume,oracle_volume,relative_gap,seconds"
+    assert lines[0] == "n,formula_volume,oracle_volume,relative_gap"
     rows = [line.split(",") for line in lines[1:]]
     assert [int(r[0]) for r in rows] == [125, 250, 500]
     gaps = [float(r[3]) for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
+    # each row's double sum is timed on stderr, not printed
+    timing = json.loads(err.split("# timing_ms ", 1)[1])
+    assert {"n=125", "n=250", "n=500"} <= set(timing)
 
 
 def test_converge_empty_list_is_usage_error(capsys):
@@ -451,9 +454,7 @@ def test_diagnose_saddle(capsys):
     assert rep["convexity"] is True
     assert rep["inequality"] == {
         "vertex_count": 4,
-        "kink_count": 0,
         "support_count": 0,
-        "tangent_arc_count": 0,
         "satisfied": True,
         "slack": 0,
     }
@@ -656,6 +657,29 @@ def test_readme_documents_exactly_the_parser_flags():
     assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) == parsed
 
 
+def test_readme_lists_exactly_the_keys_of_each_report(tmp_path, capsys):
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = dict(re.findall(r"(?m)^\| `([a-z -]+)` \| (.+) \|$", section))
+    runs = {
+        "volume": ("volume", "saddle", "--n", "300"),
+        "area": ("area", "ellipse", "--n", "100"),
+        "converge --json": ("converge", "saddle", "--ns", "125", "--json"),
+        "diagnose": ("diagnose", "saddle", "--n", "300", "--probes", "2"),
+        "export-mesh": ("export-mesh", "saddle", str(tmp_path / "hull.obj"), "--n", "300"),
+        "gallery-list --json": ("gallery-list", "--json"),
+    }
+    assert set(table) == set(runs)
+    for row, argv in runs.items():
+        code, rep = cli_json(capsys, *argv)
+        assert code == 0, row
+        assert set(rep) == set(re.findall(r"`(\w+)`", table[row])), row
+        assert rep["schema"] == 2, row
+    code, rep = cli_json(capsys, "volume", "ellipse")
+    assert code == 1
+    assert set(rep) == {"schema", "command", "error"}
+    assert rep["schema"] == 2
+
+
 def test_gallery_list(capsys):
     code, out, err = run_cli(capsys, "gallery-list")
     assert code == 0
@@ -772,11 +796,15 @@ def test_diagnose_bits_ignore_blas_and_worker_threads():
 
 
 def test_repeated_runs_are_byte_identical(capsys):
-    outs = set()
-    for threads in ("1", "4", "1"):
-        code, out, err = run_cli(
-            capsys, "volume", "saddle", "--n", "400", "--threads", threads
-        )
-        assert code == 0
-        outs.add(out)
-    assert len(outs) == 1
+    converge = ("converge", "saddle", "--ns", "125,250")
+    for runs in (
+        [("volume", "saddle", "--n", "400", "--threads", t) for t in ("1", "4", "1")],
+        [converge] * 3,
+        [converge + ("--json",)] * 3,
+    ):
+        outs = set()
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0
+            outs.add(out)
+        assert len(outs) == 1, runs[0]

@@ -346,7 +346,9 @@ def test_inequality_arithmetic(v, p, satisfied, slack):
     rep = four_vertex_inequality_report(vertex_count=v, support_count=p)
     assert rep.satisfied is satisfied
     assert rep.slack == slack
-    assert rep.kink_count == 0 and rep.tangent_arc_count == 0
+    assert rep.as_dict() == {
+        "vertex_count": v, "support_count": p, "satisfied": satisfied, "slack": slack
+    }
 
 
 def test_inequality_takes_the_counts_of_both_reports():

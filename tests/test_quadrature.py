@@ -111,7 +111,7 @@ def test_volume_formula_close_to_oracle(saddle_2000, saddle_oracle_volume):
     res = hull_volume(saddle_2000)
     gap = abs(res.volume - saddle_oracle_volume) / saddle_oracle_volume
     assert gap < 1e-4
-    assert res.as_dict()["multiplicity_m"] == 4
+    assert set(res.as_dict()) == {"volume", "error_estimate"}
     assert res.n == 2000
 
 
