@@ -27,8 +27,8 @@ for p in ([0, 0, 0], [0.3, 0.1, 0.0], [-0.2, 0.4, 0.1], [0.0, 0.0, 0.6]):
     m = estimate_covering_multiplicity(sc, p)
     print(f"  {p}: multiplicity {m}")
 
-# the probes of `curvehull diagnose`: uniform box draws kept a safe distance
-# inside the hull
+# the probes of `curvehull diagnose`: uniform draws in the hull's tetrahedron
+# fan, pulled 15% of the way toward its apex
 print(f"\n50 random saddle probes: {covering_histogram(sc, mesh, 50, seed=42)[0]}")
 
 # the same count on wobble(3) finds a patchwork of covering numbers, zero

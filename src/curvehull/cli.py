@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 validity gate failed, 2 I/O or parse error.
 
 Curves are given either as gallery specs ("saddle", "wobble:k=5") or as
 paths to polyline files: plain text, one "x y z" triple per line, '#'
-comments, loop closed implicitly. Probe sampling uses numpy's default_rng
-(PCG64) seeded by --seed, so diagnostics are reproducible.
+comments, loop closed implicitly. diagnose draws its probes inside the hull,
+every one evaluated, from numpy's default_rng (PCG64) seeded by --seed, so
+diagnostics are reproducible.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .curves import PLANARITY_RTOL, as_point_array, plane_deviation
-from .errors import CurveHullError, PlanarCurveError
+from .errors import CurveHullError, DegenerateCurveError, PlanarCurveError
 
 HULL_EPS_RTOL = 1e-9  # containment tolerance vs bounding-box diagonal
 _COPLANAR_NORMAL_COS = np.cos(1e-6)  # merge facets whose normals agree to 1e-6 rad
@@ -68,7 +68,7 @@ def build_hull(points) -> HullMesh:
     (require_nonplanar) gets a hull. The mesh is checked structurally before
     being returned: consistent outward winding, every edge shared by exactly
     two triangles, Euler characteristic 2, and every input point inside or
-    on the boundary within eps.
+    on the boundary within eps, else DegenerateCurveError.
     """
     pts = as_point_array(points)
     if len(pts) < 4:
@@ -132,8 +132,12 @@ def _validate(mesh: HullMesh) -> np.ndarray:
     inner = np.setdiff1d(np.arange(len(mesh.points)), mesh.vertex_indices)
     depth = signed_distance(mesh, mesh.points[inner])
     worst = float(depth.max(initial=-np.inf))
-    if worst > mesh.eps:
-        raise CurveHullError(f"input point lies {worst:.3g} outside its own hull")
+    if worst > mesh.eps:  # rounding does this to a small loop far from the origin
+        raise DegenerateCurveError(
+            f"input point lies {worst:.3g} outside its own hull, beyond eps = {mesh.eps:.3g}",
+            depth=worst,
+            eps=mesh.eps,
+        )
     return inner[depth < -mesh.eps]
 
 
@@ -157,17 +161,24 @@ def signed_distance(mesh: HullMesh, p) -> np.ndarray | float:
     return float(d[0]) if single else d
 
 
+def fan_tetrahedra(mesh: HullMesh) -> tuple:
+    """The tetrahedra from the mean of the hull vertices (the apex) to the
+    facets, which partition the hull: (apex, (a, b, c), six_volumes), with
+    a, b, c each facet's corners less the apex and six_volumes = (a x b) . c
+    row by row, positive under outward winding.
+    """
+    apex = mesh.points[np.unique(mesh.facets)].mean(axis=0)
+    a, b, c = (mesh.points[mesh.facets[:, k]] - apex for k in range(3))
+    return apex, (a, b, c), np.einsum("ij,ij->i", np.cross(a, b), c)
+
+
 def mesh_volume(mesh: HullMesh) -> float:
-    """Enclosed volume by summing signed tetra volumes against the centroid.
+    """Enclosed volume, the sum of the signed tetrahedra of fan_tetrahedra.
 
     Relies only on consistent outward winding, so it cross-checks the facet
     orientation repair done in build_hull.
     """
-    ref = mesh.points[np.unique(mesh.facets)].mean(axis=0)
-    a = mesh.points[mesh.facets[:, 0]] - ref
-    b = mesh.points[mesh.facets[:, 1]] - ref
-    c = mesh.points[mesh.facets[:, 2]] - ref
-    return float(np.einsum("ij,ij->i", np.cross(a, b), c).sum() / 6.0)
+    return float(fan_tetrahedra(mesh)[2].sum() / 6.0)
 
 
 def richardson_volume(points) -> float:

@@ -9,7 +9,8 @@ chord from sample i to sample j, and edge j, and 4 is the paper's covering
 multiplicity of the chord map, proved for convex loops with exactly four
 torsion sign changes. The same V_ij signs classify adjacent chord pairs as
 interior or boundary, and counting the edge-pair tetrahedra that hold a
-probe point measures the multiplicity there exactly.
+probe point measures the multiplicity there exactly; covering_histogram
+draws such probes from the hull's own tetrahedron fan.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from .errors import NonPlanarCurveError
 
 COVERING_MULTIPLICITY = 4  # the paper's divisor: chords cover the hull 4 times
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
-PROBE_MARGIN_RTOL = 0.01  # probe clearance vs L; nearer a sample the screen passes most pairs
+PROBE_SCALE = 0.85        # probes shrink toward the fan apex, clearing the boundary samples
 _CHUNK_ROWS = 128         # row block size for the double sum and tetrahedron count
-_PROBE_BATCH = 32         # probe draws tested against the hull per signed_distance call
 _SCREEN_SLACK = 1e-9      # rounding allowance of the angular tetrahedron screen
 _FACE_RTOL = 8 * np.finfo(np.float64).eps  # face-sign rounding bound vs |q_e||q_e+1||q_a|
 _NUDGE = np.array([1.0, np.sqrt(2.0), np.pi])  # generic direction D that breaks face ties
@@ -286,50 +286,32 @@ def estimate_covering_multiplicity(curve: SampledCurve, point) -> int:
 def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, seed) -> tuple:
     """Covering multiplicities at seeded random points inside the hull.
 
-    Draws points uniformly in the samples' bounding box from numpy's
-    default_rng(seed) (PCG64), at most 1000 * probes of them. A draw not
-    strictly inside mesh is rejected as outside, and one within
-    PROBE_MARGIN_RTOL * L of its boundary as near the boundary: the samples
-    lie there, and beside one the angular screen of the count passes most
-    pairs. Every other draw is a probe for estimate_covering_multiplicity,
-    until probes have been evaluated; a probe that no tetrahedron holds is
-    the bin m = 0. Returns ({m: count} in ascending m, counters), the
-    counters being requested, evaluated, rejected_outside,
-    rejected_near_boundary and chord_failures, always 0 (kept because
-    perfbench/run.py reads it).
-
-    Draws are made and tested against mesh up to _PROBE_BATCH at a time, in
-    one signed_distance call, and used in order, so the result is that of
-    drawing and testing one point at a time.
+    All probes are drawn at once from numpy's default_rng(seed) (PCG64): a
+    tetrahedron of hull.fan_tetrahedra with probability proportional to its
+    volume, then a Dirichlet(1, 1, 1, 1) point in it, uniform in the hull.
+    Scaling it by PROBE_SCALE about the apex keeps it 1 - PROBE_SCALE of the
+    apex's depth inside, away from the samples, beside which the angular
+    screen of the count passes most pairs. No draw is rejected. Returns
+    ({m: count} in ascending m, counters), m from
+    estimate_covering_multiplicity (0 where no tetrahedron holds the probe);
+    of the counters, evaluated equals requested, and rejected_outside,
+    rejected_near_boundary and chord_failures are 0, kept because
+    perfbench/run.py reads them.
     """
     rng = np.random.default_rng(seed)
-    lo = curve.points.min(axis=0)
-    hi = curve.points.max(axis=0)
-    margin = PROBE_MARGIN_RTOL * curve.total_length
-    cap = probes * 1000
+    apex, corners, six_volumes = _hull.fan_tetrahedra(mesh)
+    pick = rng.choice(len(six_volumes), size=probes, p=six_volumes / six_volumes.sum())
+    weights = rng.dirichlet(np.ones(4), size=probes)  # column 0 weighs the apex
+    offsets = sum(weights[:, k + 1, None] * corner[pick] for k, corner in enumerate(corners))
     histogram = {}
-    outside = near_boundary = evaluated = attempts = 0
-    while evaluated < probes and attempts < cap:
-        # a draw of shape (k, 3) yields the numbers of k draws of one point
-        draws = rng.uniform(lo, hi, size=(min(_PROBE_BATCH, cap - attempts), 3))
-        for p, sd in zip(draws, _hull.signed_distance(mesh, draws)):
-            attempts += 1
-            if sd >= -mesh.eps:
-                outside += 1
-                continue
-            if sd > -margin:
-                near_boundary += 1
-                continue
-            evaluated += 1
-            m = estimate_covering_multiplicity(curve, p)
-            histogram[m] = histogram.get(m, 0) + 1
-            if evaluated == probes:
-                break
+    for p in apex + PROBE_SCALE * offsets:
+        m = estimate_covering_multiplicity(curve, p)
+        histogram[m] = histogram.get(m, 0) + 1
     counters = {
         "requested": probes,
-        "evaluated": evaluated,
-        "rejected_outside": outside,
-        "rejected_near_boundary": near_boundary,
+        "evaluated": probes,
+        "rejected_outside": 0,
+        "rejected_near_boundary": 0,
         "chord_failures": 0,
     }
     return dict(sorted(histogram.items())), counters

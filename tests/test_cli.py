@@ -1,15 +1,20 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import lifted_circle_points, lifted_flower_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvehull
 import curvehull.cli as cli
@@ -213,6 +218,9 @@ def test_a_loop_the_planarity_gate_accepts_gets_a_hull(tmp_path, capsys):
     code, rep = cli_json(capsys, "diagnose", spec, "--probes", "5")
     assert code == 0
     assert rep["non_extreme_count"] == 0
+    # the loop is 1e-8 thick, yet every probe is drawn inside and evaluated
+    assert rep["probes"]["evaluated"] == 5
+    assert rep["multiplicity_histogram"] == {"4": 5}
     obj = tmp_path / "hull.obj"
     code, rep = cli_json(capsys, "export-mesh", spec, str(obj))
     assert code == 0
@@ -220,6 +228,28 @@ def test_a_loop_the_planarity_gate_accepts_gets_a_hull(tmp_path, capsys):
     code, rep = cli_json(capsys, "area", spec)
     assert code == 1
     assert rep["error"]["gate"] == "planarity"
+
+
+def test_a_far_from_origin_file_is_refused_as_degenerate(tmp_path, capsys):
+    # a 1e-3-sized saddle 5e5 from the origin, written to 6 decimals: qhull's
+    # hull of the rounded points leaves a point 5.8e-11 outside it, beyond
+    # eps = 3.5e-12, so no hull of this input can be trusted
+    samples = curvehull.sample_uniform(curvehull.gallery.get("saddle").curve, 300)
+    path = tmp_path / "far.txt"
+    np.savetxt(path, samples.points * 1e-3 + 5e5 * np.array([0.3, -0.97, 0.54]), fmt="%.6f")
+    obj = tmp_path / "hull.obj"
+    for argv in (
+        ("volume", str(path), "--force"),
+        ("diagnose", str(path)),
+        ("export-mesh", str(path), str(obj)),
+    ):
+        code, rep = cli_json(capsys, *argv)
+        assert code == 1, argv
+        error = rep["error"]
+        assert error["gate"] == "degenerate", argv
+        assert error["depth"] > error["eps"], argv
+        assert "outside its own hull, beyond eps" in error["message"], argv
+    assert not obj.exists()
 
 
 @pytest.mark.parametrize("n", [20, 6])
@@ -497,12 +527,14 @@ def test_diagnose_prints_no_inequality_for_a_non_convex_loop(spec, n, convex, pa
 
 
 def test_diagnose_seed_changes_probe_stream(capsys):
-    _, rep1 = cli_json(capsys, "diagnose", "saddle", "--n", "300", "--probes", "5")
-    _, rep2 = cli_json(
-        capsys, "diagnose", "saddle", "--n", "300", "--probes", "5", "--seed", "7"
-    )
-    assert rep1["seed"] != rep2["seed"]
-    assert rep1["probes"]["rejected_outside"] != rep2["probes"]["rejected_outside"]
+    # wobble(3) has pockets no chord reaches, so other probes give another
+    # histogram
+    argv = ("diagnose", "wobble:k=3", "--n", "300", "--probes", "20")
+    _, rep1 = cli_json(capsys, *argv)
+    _, rep2 = cli_json(capsys, *argv, "--seed", "7")
+    assert (rep1["seed"], rep2["seed"]) == (42, 7)
+    assert rep1["multiplicity_histogram"] == {"0": 1, "4": 19}
+    assert rep2["multiplicity_histogram"] == {"4": 20}
 
 
 @pytest.mark.parametrize("probes", ["0", "-1"])
@@ -525,7 +557,7 @@ def test_diagnose_seed_below_zero_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec, n, uncovered", [("saddle", 500, 0), ("wobble:k=3", 400, 10)], ids=["saddle", "wobble3"]
+    "spec, n, uncovered", [("saddle", 500, 0), ("wobble:k=3", 400, 7)], ids=["saddle", "wobble3"]
 )
 def test_covering_histogram_is_what_diagnose_reports(spec, n, uncovered, capsys):
     code, rep = cli_json(capsys, "diagnose", spec, "--n", str(n), "--seed", "42")
@@ -615,6 +647,61 @@ def test_polyline_loader_closure_and_comments(tmp_path):
     )
     sc = load_polyline(path)
     assert sc.n == 4
+
+
+GATES = {"planarity", "vertex_count", "convexity", "degenerate", "closure"}
+
+
+@given(
+    name=st.sampled_from(["saddle", "baseball", "wobble:k=3"]),
+    n=st.sampled_from([3, 4, 5, 8, 63, 64, 65, 300]),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    offset=st.sampled_from([0.0, 1e3, 5e5, 1e7]),
+    jitter=st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-2]),
+    decimals=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+    duplicate=st.sampled_from([None, "adjacent", "apart"]),
+    shuffle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_polyline_files_get_a_result_or_a_named_refusal(
+    name, n, scale, offset, jitter, decimals, duplicate, shuffle, seed
+):
+    # rounded, jittered, duplicated, shuffled, scaled and shifted files: every
+    # command exits 0, 1 with a gate's error object, or 2 with a usage
+    # message, and never raises
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * (2 * np.pi / n)
+    pts = curvehull.gallery.get(name).curve(t)
+    pts = (pts + jitter * rng.standard_normal(pts.shape)) * scale
+    pts += offset * np.array([0.3, -0.97, 0.54])
+    if duplicate:
+        k = int(rng.integers(n))
+        at = k + 1 if duplicate == "adjacent" else (k + n // 2) % n
+        pts = np.insert(pts, at, pts[k], axis=0)
+    if shuffle:
+        pts = rng.permutation(pts)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.txt")
+        np.savetxt(path, pts, fmt="%.17g" if decimals is None else f"%.{decimals}f")
+        obj = os.path.join(tmp, "hull.obj")
+        for argv in (
+            ("volume", path),
+            ("volume", path, "--force"),
+            ("diagnose", path, "--probes", "10"),
+            ("converge", path, "--ns", "64,300"),
+            ("export-mesh", path, obj),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            if code == 1:
+                assert json.loads(out.getvalue())["error"]["gate"] in GATES, argv
+            elif code == 2:
+                assert err.getvalue().startswith("error: "), argv
+            else:
+                assert code == 0, argv
+                assert out.getvalue(), argv
 
 
 # ---------------------------------------------------------------- misc

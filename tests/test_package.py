@@ -1,14 +1,18 @@
 """The package's public names: each one exported once, and each importable,
-and each README signature of one true to its parameters."""
+and each README signature of one true to its parameters. Also that the CI
+workflow runs ROADMAP.md's tier-1 verify command as written."""
 
 import collections
 import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import curvehull
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_public_name_is_exported_once_and_resolves():
@@ -31,3 +35,11 @@ def test_readme_signatures_list_the_exports_parameters():
     wrong = [(name, params) for name, params in written
              if params != list(inspect.signature(getattr(curvehull, name)).parameters)]
     assert wrong == []
+
+
+def test_ci_workflow_runs_the_tier1_verify_command():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())[1]
+    runs = [step.get("run") for job in workflow["jobs"].values() for step in job["steps"]]
+    assert command in runs

@@ -31,10 +31,10 @@ from curvehull import (
     signed_distance,
     tetra_volume_matrix,
 )
+from curvehull.hull import fan_tetrahedra
 from curvehull.quadrature import (
     _NUDGE,
     DEGENERACY_RTOL,
-    PROBE_MARGIN_RTOL,
     _abs_double_sum,
 )
 
@@ -333,7 +333,7 @@ def test_count_on_chords_and_faces_is_four(name, n):
         (r[(i + 1) % n] + r[j] + r[(j + 1) % n]) / 3,  # face centroids
         [[0, 0, 0], [0.3, 0.1, 0.0], [-0.2, 0.4, 0.1], [0.0, 0.0, 0.6]],  # demo 03's
     ])
-    probes = probes[signed_distance(mesh, probes) <= -PROBE_MARGIN_RTOL * sc.total_length]
+    probes = probes[signed_distance(mesh, probes) <= -0.01 * sc.total_length]
     assert len(probes) > 300
     counts = [estimate_covering_multiplicity(sc, p) for p in probes]
     assert set(counts) == {4}
@@ -373,55 +373,54 @@ def test_count_memory_grows_linearly_in_n():
     assert peaks[1] < 3 * peaks[0]
 
 
-def one_draw_histogram(curve, mesh, probes, seed):
-    """Reference: covering_histogram with one draw and one distance per point."""
-    rng = np.random.default_rng(seed)
-    lo, hi = curve.points.min(axis=0), curve.points.max(axis=0)
-    margin = PROBE_MARGIN_RTOL * curve.total_length
-    histogram = {}
-    outside = near_boundary = evaluated = attempts = 0
-    while evaluated < probes and attempts < probes * 1000:
-        attempts += 1
-        p = rng.uniform(lo, hi)
-        sd = signed_distance(mesh, p)
-        if sd >= -mesh.eps:
-            outside += 1
-        elif sd > -margin:
-            near_boundary += 1
-        else:
-            evaluated += 1
-            m = estimate_covering_multiplicity(curve, p)
-            histogram[m] = histogram.get(m, 0) + 1
-    counters = {
-        "requested": probes,
-        "evaluated": evaluated,
-        "rejected_outside": outside,
-        "rejected_near_boundary": near_boundary,
-        "chord_failures": 0,
-    }
-    return dict(sorted(histogram.items())), counters
-
-
-@pytest.mark.parametrize(
-    "name, n, seed",
-    [("saddle", 500, 0), ("saddle", 500, 1), ("saddle", 500, 2), ("saddle", 500, 3),
-     ("wobble:k=3", 400, 0)],
-)
-def test_histogram_matches_one_draw_reference(name, n, seed):
-    sc, mesh = _probe_curve(name, n)
-    got = covering_histogram(sc, mesh, 100, seed)
-    assert got == one_draw_histogram(sc, mesh, 100, seed)
-    assert got[1]["evaluated"] == 100
-
-
-def test_histogram_draw_cap_matches_one_draw_reference():
-    # the lifted circle is 1e-8 thick: every draw is rejected, up to the cap
+def test_lifted_circle_gets_every_probe():
+    # the loop is 1e-8 thick: a box draw almost never lands inside, but a
+    # draw from the hull's own tetrahedron fan always does
     sc = SampledCurve.from_points(lifted_circle_points())
     mesh = build_hull(sc.points)
-    got = covering_histogram(sc, mesh, 5, 0)
-    assert got == one_draw_histogram(sc, mesh, 5, 0)
-    counters = got[1]
-    assert counters["rejected_outside"] + counters["rejected_near_boundary"] == 5000
+    histogram, counters = covering_histogram(sc, mesh, 5, 0)
+    assert histogram == {4: 5}
+    assert counters == {
+        "requested": 5,
+        "evaluated": 5,
+        "rejected_outside": 0,
+        "rejected_near_boundary": 0,
+        "chord_failures": 0,
+    }
+
+
+@pytest.mark.parametrize("name", ["saddle", "wobble:k=3"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 42])
+def test_probes_clear_the_boundary_by_a_share_of_the_apex_depth(name, seed, monkeypatch):
+    # a draw scaled by 0.85 about the apex keeps 0.15 of the apex's depth:
+    # the ball about the apex shrinks into the hull
+    sc, mesh = _probe_curve(name, 400)
+    drawn = []
+
+    def record(curve, point):
+        drawn.append(point)
+        return 4
+
+    monkeypatch.setattr("curvehull.quadrature.estimate_covering_multiplicity", record)
+    histogram, counters = covering_histogram(sc, mesh, 200, seed)
+    assert histogram == {4: 200}
+    assert counters["evaluated"] == len(drawn) == 200
+    depth = -signed_distance(mesh, fan_tetrahedra(mesh)[0])
+    assert np.all(signed_distance(mesh, np.array(drawn)) <= -0.15 * depth)
+
+
+def test_fan_tetrahedra_partition_the_hull():
+    # an interior apex and outward facets give positive tetrahedra that add
+    # up to qhull's own volume, so volume-weighted draws are uniform in it
+    from scipy.spatial import ConvexHull
+
+    sc, mesh = _probe_curve("baseball", 300)
+    apex, corners, six_volumes = fan_tetrahedra(mesh)
+    assert signed_distance(mesh, apex) < -mesh.eps
+    assert np.all(six_volumes > 0)
+    assert all(c.shape == (mesh.n_facets, 3) for c in corners)
+    assert six_volumes.sum() / 6.0 == pytest.approx(ConvexHull(sc.points).volume, rel=1e-12)
+    assert mesh_volume(mesh) == float(six_volumes.sum() / 6.0)
 
 
 # ---------------------------------------------------------------- planar area
