@@ -4,6 +4,7 @@ Subcommands: volume, area, converge, diagnose, export-mesh, gallery-list.
 Reports go to stdout as JSON (CSV for converge); timings go to stderr so
 that stdout is byte-identical across repeated runs and thread counts.
 Exit codes: 0 success, 1 validity gate failed, 2 I/O or parse error.
+Every hull comes from is_convex_curve, which runs the planarity gate first.
 
 Curves are given either as gallery specs ("saddle", "wobble:k=5") or as
 paths to polyline files: plain text, one "x y z" triple per line, '#'
@@ -46,16 +47,10 @@ _GATE_PROFILE_MIN = 512    # min sample count for the analytic vertex gate
 _THREADS_HELP = "accepted for compatibility; changes neither the result nor the work"
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()  # a numpy scalar's tolist() is its item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _emit(command: str, fields: dict) -> None:
     """Print one report: fields plus the schema version and command name."""
     report = {"schema": 2, "command": command, **fields}
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+    print(json.dumps(report, indent=2, sort_keys=True))
 
 
 class _PhaseTimer(dict):
@@ -161,12 +156,11 @@ class _ResolvedCurve:
         """Reference hull volume. A curve with derivatives gets the Richardson
         extrapolation of the hulls of ORACLE_SAMPLES samples and of every other
         one. A polyline gets the volume of the hull of its own points:
-        convexity.hull, the mesh its convexity gate built, or a new hull when
-        convexity is None."""
+        convexity.hull, the mesh its convexity gate built, or the hull of a
+        new convexity check when convexity is None."""
         if self.path.has_derivatives:
             return hull.richardson_volume(self.resample(ORACLE_SAMPLES).points)
-        mesh = convexity.hull if convexity else hull.build_hull(self.gate_points.points)
-        return hull.mesh_volume(mesh)
+        return hull.mesh_volume((convexity or is_convex_curve(self.gate_points)).hull)
 
 
 def cmd_volume(args, phase) -> int:
@@ -270,10 +264,10 @@ def cmd_diagnose(args, phase) -> int:
     with phase("hull"):
         resolved = _ResolvedCurve(args.curve, args.n)
         samples, gate_points = resolved.samples, resolved.gate_points
-        require_nonplanar(samples)
+        require_nonplanar(samples)  # first, as in volume's gates, so both refuse alike
         convexity = is_convex_curve(gate_points)
         # the convexity check read the hull of samples unless a polyline was resampled
-        mesh = convexity.hull if gate_points is samples else hull.build_hull(samples.points)
+        mesh = (convexity if gate_points is samples else is_convex_curve(samples)).hull
 
     with phase("structure"):
         vertex_report = resolved.vertex_report()
@@ -323,8 +317,7 @@ def cmd_diagnose(args, phase) -> int:
 
 def cmd_export_mesh(args, phase) -> int:
     resolved = _ResolvedCurve(args.curve, args.n)
-    require_nonplanar(resolved.samples)
-    mesh = hull.build_hull(resolved.samples.points)
+    mesh = is_convex_curve(resolved.samples).hull
     hull.save_obj(mesh, args.path)
     _emit(
         "export-mesh",

@@ -350,6 +350,8 @@ class PlanarityResult:
 def plane_deviation(points: np.ndarray) -> float:
     """Largest distance of the points from their least-squares plane, whose
     normal is the least singular vector of the centered point cloud."""
+    if len(points) < 4:
+        return 0.0  # three points always lie in a plane
     centroid = points.mean(axis=0)
     vt = np.linalg.svd(points - centroid, full_matrices=False)[2]
     return float(np.max(np.abs((points - centroid) @ vt[-1])))

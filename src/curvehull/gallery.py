@@ -13,6 +13,7 @@ Provides canonical witnesses for the volume formula and its hypotheses:
 
 Every coordinate is a trigonometric polynomial, so one rule (_fourier)
 gives the position and the exact first, second and third derivatives.
+One table, _CURVES, holds every curve, so get builds each on one path.
 Entries are addressed by name with optional parameters,
 e.g. "baseball:a=1,b=0.15,c=0.7" or "wobble:k=5"; a value must be finite,
 and an integer parameter (wobble's k) must be integral.
@@ -84,33 +85,64 @@ def _fourier(name: str, x_terms, y_terms, z_terms) -> AnalyticCurve:
     return AnalyticCurve(position, TWO_PI, d1, d2, d3, name=name)
 
 
-def _wobble(k: int) -> AnalyticCurve:
+_BASEBALL = {"a": 1.0, "b": 0.15, "c": 0.7}
+
+
+def _baseball(a, b, c):
+    shipped = {"a": a, "b": b, "c": c} == _BASEBALL  # the claims hold at the defaults
+    x, y, z = [(1, a, 0), (3, b, 0)], [(1, 0, a), (3, 0, -b)], [(2, 0, c)]
+    return x, y, z, 4 if shipped else None, shipped
+
+
+def _wobble(k: int):
     if k < 3 or k % 2 == 0:
         raise ValueError(f"wobble frequency k must be odd and >= 3, got {k}")
-    return _fourier("wobble", [(1, 1, 0)], [(1, 0, 1)], [(k, 0, 1)])
+    return [(1, 1, 0)], [(1, 0, 1)], [(k, 0, 1)], 2 * k, True
 
 
-_DEFAULTS = {
-    "saddle": {},
-    "baseball": {"a": 1.0, "b": 0.15, "c": 0.7},
-    "ellipse": {"a": 2.0, "b": 1.0},
-    "wobble": {"k": 3},
-    "trefoil": {},
+# name -> (terms, defaults, description); terms(**params) gives the x, y, z
+# Fourier terms (none in z: planar), the vertex count (None: no claim), convexity
+_CURVES = {
+    "saddle": (
+        lambda: ([(1, 1, 0)], [(1, 0, 1)], [(2, 1, 0)], 4, True),
+        {},
+        "circle lifted onto the saddle z = x^2 - y^2",
+    ),
+    "baseball": (
+        _baseball, _BASEBALL, "seam-like closed curve, 4 torsion sign changes at defaults"
+    ),
+    "ellipse": (
+        lambda a, b: ([(1, a, 0)], [(1, 0, b)], [], None, True),
+        {"a": 2.0, "b": 1.0},
+        "planar ellipse, exercises the area path",
+    ),
+    "wobble": (_wobble, {"k": 3}, "circle with z = sin(kt); 2k torsion sign changes"),
+    "trefoil": (
+        lambda: (  # (2 + cos 3t)(cos 2t, sin 2t) expanded, and sin 3t
+            [(1, 0.5, 0), (2, 2, 0), (5, 0.5, 0)],
+            [(1, 0, -0.5), (2, 0, 2), (5, 0, 0.5)],
+            [(3, 0, 1)],
+            None,
+            False,
+        ),
+        {},
+        "knotted curve with interior samples, fails the convexity gate",
+    ),
 }
 
 
 def names() -> list:
     """Sorted gallery base names."""
-    return sorted(_DEFAULTS)
+    return sorted(_CURVES)
 
 
 def parse_curve_spec(spec: str):
     """Split "name:key=val,key=val" into a base name and a parameter dict."""
     base, _, tail = spec.partition(":")
     base = base.strip()
-    if base not in _DEFAULTS:
+    if base not in _CURVES:
         raise KeyError(f"unknown curve {base!r}; available: {', '.join(names())}")
-    params = dict(_DEFAULTS[base])
+    params = dict(_CURVES[base][1])
     if tail.strip():
         for item in tail.split(","):
             key, sep, val = item.partition("=")
@@ -135,61 +167,14 @@ def parse_curve_spec(spec: str):
 def get(spec: str) -> GalleryEntry:
     """Build a gallery entry from a spec string like "wobble:k=5"."""
     base, params = parse_curve_spec(spec)
-    if base == "saddle":
-        return GalleryEntry(
-            name=base,
-            curve=_fourier("saddle", [(1, 1, 0)], [(1, 0, 1)], [(2, 1, 0)]),
-            params=params,
-            expected_vertex_count=4,
-            expected_convex=True,
-            planar=False,
-            description="circle lifted onto the saddle z = x^2 - y^2",
-        )
-    if base == "baseball":
-        a, b, c = params["a"], params["b"], params["c"]
-        curve = _fourier("baseball", [(1, a, 0), (3, b, 0)], [(1, 0, a), (3, 0, -b)], [(2, 0, c)])
-        default = params == _DEFAULTS[base]
-        return GalleryEntry(
-            name=base,
-            curve=curve,
-            params=params,
-            expected_vertex_count=4 if default else None,
-            expected_convex=default,
-            planar=False,
-            description="seam-like closed curve, 4 torsion sign changes at defaults",
-        )
-    if base == "ellipse":
-        return GalleryEntry(
-            name=base,
-            curve=_fourier("ellipse", [(1, params["a"], 0)], [(1, 0, params["b"])], []),
-            params=params,
-            expected_vertex_count=None,
-            expected_convex=True,
-            planar=True,
-            description="planar ellipse, exercises the area path",
-        )
-    if base == "wobble":
-        return GalleryEntry(
-            name=base,
-            curve=_wobble(**params),
-            params=params,
-            expected_vertex_count=2 * params["k"],
-            expected_convex=True,
-            planar=False,
-            description="circle with z = sin(kt); 2k torsion sign changes",
-        )
+    terms, _, description = _CURVES[base]
+    x, y, z, vertex_count, convex = terms(**params)
     return GalleryEntry(
-        name="trefoil",
-        curve=_fourier(  # (2 + cos 3t)(cos 2t, sin 2t) expanded, and sin 3t
-            "trefoil",
-            [(1, 0.5, 0), (2, 2, 0), (5, 0.5, 0)],
-            [(1, 0, -0.5), (2, 0, 2), (5, 0, 0.5)],
-            [(3, 0, 1)],
-        ),
-        params={},
-        expected_vertex_count=None,
-        expected_convex=False,
-        planar=False,
-        description="knotted curve with interior samples, fails the convexity gate",
+        name=base,
+        curve=_fourier(base, x, y, z),
+        params=params,
+        expected_vertex_count=vertex_count,
+        expected_convex=convex,
+        planar=not z,
+        description=description,
     )
-

@@ -56,12 +56,8 @@ def _tetra_factors(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tu
     return np.hstack([e[:k], c[:k]]), np.vstack([c[k:].T, e[k:].T])
 
 
-def tetra_volume_matrix(
-    curve: SampledCurve,
-    rows: Optional[np.ndarray] = None,
-    cols: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Signed tetra volumes V_ij for i in rows and j in cols (default: all).
+def tetra_volume_matrix(curve: SampledCurve, rows, cols) -> np.ndarray:
+    """Signed tetra volumes V_ij for i in rows and j in cols.
 
     Uses the rank-6 factorisation 6 V = A B^T, A = [E, r x E] and
     B = [r x E, E] with E the edge vectors, the same factors the double sum
@@ -70,10 +66,7 @@ def tetra_volume_matrix(
     points, and its diagonal is zero up to rounding. Index arrays read a
     sub-grid without building the n x n matrix.
     """
-    every = np.arange(curve.n)
-    rows = every if rows is None else np.asarray(rows)
-    cols = every if cols is None else np.asarray(cols)
-    a, bt = _tetra_factors(curve.points, rows, cols)
+    a, bt = _tetra_factors(curve.points, np.asarray(rows), np.asarray(cols))
     return (a @ bt) / 6.0
 
 
@@ -223,10 +216,11 @@ def estimate_covering_multiplicity(curve: SampledCurve, point) -> int:
     Only pairs that pass an exact angular screen are tested. p in the
     tetrahedron lies on a segment from edge i to edge j, so the angle
     between q_i and -q_j is at most 2 theta, theta the widest angle an edge
-    subtends from p: u_i . u_j <= -cos 2 theta (plus _SCREEN_SLACK),
-    u_k = q_k / |q_k|. When 2 theta >= pi, or p is a sample, every pair is
-    tested. The screen decides only which pairs are tested, so the count
-    does not depend on BLAS.
+    subtends from p: u_i . u_j <= -cos 2 theta = 1 - 2 cos^2 theta (plus
+    _SCREEN_SLACK), u_k = q_k / |q_k| (0 where p is sample k). With cos
+    theta clipped at 0 the bound reaches 1 + slack, passing every pair, when
+    2 theta >= pi or p is a sample. The screen decides only which pairs are
+    tested, so the count does not depend on BLAS.
 
     The screened pairs are gathered across _upper_blocks and their face
     signs tested in one pass once n of them are held, so memory stays O(n)
@@ -238,13 +232,10 @@ def estimate_covering_multiplicity(curve: SampledCurve, point) -> int:
     q = points - p
     d = np.linalg.norm(q, axis=1)
     q1, d1 = np.roll(q, -1, axis=0), np.roll(d, -1)
-    cos_edge = float(np.min(_dot_rows(q, q1) / (d * d1))) if d.min() > 0 else -1.0
-    if cos_edge > 0:
-        ut = (q / d[:, None]).T.copy()  # 3 x n, so column slices feed matmul
-        bound = 1.0 - 2.0 * cos_edge**2 + _SCREEN_SLACK
-    else:
-        ut = np.zeros((1, n))  # every product is 0 <= bound: all pairs pass
-        bound = 0.0
+    tiny = np.finfo(np.float64).tiny  # 0 / tiny = 0: a zero row, and cos 0, at a sample
+    ut = (q / np.maximum(d, tiny)[:, None]).T.copy()  # 3 x n, so column slices feed matmul
+    cos_edge = float(np.min(_dot_rows(q, q1) / np.maximum(d * d1, tiny)))
+    bound = 1.0 - 2.0 * max(cos_edge, 0.0) ** 2 + _SCREEN_SLACK
     c = np.cross(q, q1)
     tol = _FACE_RTOL * d * d1
 
@@ -335,6 +326,6 @@ def planar_area_integral(curve: SampledCurve) -> float:
             "length; the area path needs a planar curve",
             rel_deviation=flat.rel_deviation,
         )
-    r = curve.points
+    r = curve.points - curve.points.mean(axis=0)  # from the centroid: a far loop keeps its digits
     s = np.cross(r, np.roll(r, -1, axis=0)).sum(axis=0)
     return float(np.linalg.norm(s)) / 2.0

@@ -252,6 +252,31 @@ def test_a_far_from_origin_file_is_refused_as_degenerate(tmp_path, capsys):
     assert not obj.exists()
 
 
+def test_a_far_three_point_file_is_refused_as_planar(tmp_path, capsys):
+    # three points lie in a plane, yet rounding this small triangle 1e3 from
+    # the origin put it 4.2e-09 of its length off its least-squares plane, so
+    # it passed the planarity gate and qhull refused it as a usage error
+    t = np.arange(3) * (2 * np.pi / 3)
+    pts = np.stack([np.cos(t), np.sin(t), np.cos(2 * t)], axis=1) * 1e-6
+    path = tmp_path / "far3.txt"
+    np.savetxt(path, pts + 1e3 * np.array([0.3, -0.97, 0.54]), fmt="%.17g")
+    obj = tmp_path / "hull.obj"
+    for argv in (
+        ("volume", str(path), "--force"),
+        ("diagnose", str(path)),
+        ("export-mesh", str(path), str(obj)),
+        ("converge", str(path), "--force"),
+    ):
+        code, rep = cli_json(capsys, *argv)
+        assert code == 1, argv
+        assert rep["error"]["gate"] == "planarity", argv
+    assert not obj.exists()
+    a, b, c = load_polyline(path).points
+    code, rep = cli_json(capsys, "area", str(path))
+    assert code == 0
+    assert rep["area"] == pytest.approx(np.linalg.norm(np.cross(b - a, c - a)) / 2, rel=1e-9)
+
+
 @pytest.mark.parametrize("n", [20, 6])
 def test_coarse_polyline_is_refused_by_the_vertex_gate(n, tmp_path, capsys):
     # too few points to count torsion sign changes on: a gate refusal

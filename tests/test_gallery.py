@@ -129,8 +129,8 @@ def test_trigonometric_derivative_rule_rounds_like_the_closed_forms():
     # k**m multiplied into the coefficient once, and no zero terms summed (a
     # summed 0*cos(t) turns -sin(0) = -0.0 into +0.0)
     t = np.concatenate([[0.0, -0.0], np.linspace(-7.0, 13.0, 20001)])
-    sin, cos = np.sin, np.cos
-    k = 5
+    sin, cos, zero = np.sin, np.cos, np.zeros_like
+    a, b, k = 2.0, 1.0, 5
 
     def baseball(a, b, c):
         return [
@@ -161,13 +161,42 @@ def test_trigonometric_derivative_rule_rounds_like_the_closed_forms():
         ],
         "baseball": baseball(1.0, 0.15, 0.7),
         "baseball:b=0.2": baseball(1.0, 0.2, 0.7),  # 3 * (3 * 0.2) != 9 * 0.2
+        "ellipse": [  # a z axis with no terms is +0.0, never -0.0
+            lambda t: [a * cos(t), b * sin(t), zero(t)],
+            lambda t: [-a * sin(t), b * cos(t), zero(t)],
+            lambda t: [-a * cos(t), -b * sin(t), zero(t)],
+            lambda t: [a * sin(t), -b * cos(t), zero(t)],
+        ],
         "wobble:k=5": [
             lambda t: [cos(t), sin(t), sin(k * t)],
             lambda t: [-sin(t), cos(t), k * cos(k * t)],
             lambda t: [-cos(t), -sin(t), -(k**2) * sin(k * t)],
             lambda t: [sin(t), -cos(t), -(k**3) * cos(k * t)],
         ],
+        "trefoil": [
+            lambda t: [
+                0.5 * cos(t) + 2 * cos(2 * t) + 0.5 * cos(5 * t),
+                -0.5 * sin(t) + 2 * sin(2 * t) + 0.5 * sin(5 * t),
+                sin(3 * t),
+            ],
+            lambda t: [
+                -0.5 * sin(t) - 4 * sin(2 * t) - 2.5 * sin(5 * t),
+                -0.5 * cos(t) + 4 * cos(2 * t) + 2.5 * cos(5 * t),
+                3 * cos(3 * t),
+            ],
+            lambda t: [
+                -0.5 * cos(t) - 8 * cos(2 * t) - 12.5 * cos(5 * t),
+                0.5 * sin(t) - 8 * sin(2 * t) - 12.5 * sin(5 * t),
+                -9 * sin(3 * t),
+            ],
+            lambda t: [
+                0.5 * sin(t) + 16 * sin(2 * t) + 62.5 * sin(5 * t),
+                0.5 * cos(t) - 16 * cos(2 * t) - 62.5 * cos(5 * t),
+                -27 * cos(3 * t),
+            ],
+        ],
     }
+    assert {spec.partition(":")[0] for spec in closed} == set(gallery.names())
     for spec, forms in closed.items():
         curve = gallery.get(spec).curve
         for m, (callback, form) in enumerate(zip((curve, curve.d1, curve.d2, curve.d3), forms)):
