@@ -111,8 +111,8 @@ class _ResolvedCurve:
 
     gate_points are a polyline file's own points, which lie on the underlying
     curve (resampled points sit on chords and would blur torsion), or else a
-    gallery curve's working samples. path is the curve that resample walks:
-    the gallery curve, or the file's polyline.
+    gallery curve's working samples. path is the curve that sample_uniform
+    walks to resample: the gallery curve, or the file's polyline.
     """
 
     def __init__(self, spec: str, n):
@@ -121,7 +121,7 @@ class _ResolvedCurve:
             self.gate_points = load_polyline(spec)
             self.path = piecewise_linear(self.gate_points)
             same_n = n is None or n == self.gate_points.n
-            self.samples = self.gate_points if same_n else self.resample(n)
+            self.samples = self.gate_points if same_n else sample_uniform(self.path, n)
         else:
             try:
                 self.path = gallery.get(spec).curve
@@ -130,11 +130,7 @@ class _ResolvedCurve:
                     f"{spec!r} is neither an existing polyline file nor a gallery "
                     f"curve (available: {', '.join(gallery.names())})"
                 ) from None
-            self.samples = self.gate_points = self.resample(n if n is not None else 1000)
-
-    def resample(self, n: int) -> SampledCurve:
-        """n samples uniform in arc length along path."""
-        return sample_uniform(self.path, n)
+            self.samples = self.gate_points = sample_uniform(self.path, 1000 if n is None else n)
 
     def vertex_report(self):
         """Torsion sign count: from exact derivatives for a gallery curve,
@@ -159,7 +155,7 @@ class _ResolvedCurve:
         convexity.hull, the mesh its convexity gate built, or the hull of a
         new convexity check when convexity is None."""
         if self.path.has_derivatives:
-            return hull.richardson_volume(self.resample(ORACLE_SAMPLES).points)
+            return hull.richardson_volume(sample_uniform(self.path, ORACLE_SAMPLES).points)
         return hull.mesh_volume((convexity or is_convex_curve(self.gate_points)).hull)
 
 
@@ -182,7 +178,7 @@ def cmd_volume(args, phase) -> int:
     if args.verify:
         with phase("oracle"):
             oracle = resolved.oracle_volume(convexity)
-            gap = abs(result.volume - oracle) / oracle if oracle > 0 else None
+            gap = abs(result.volume - oracle) / oracle
 
     _emit(
         "volume",
@@ -231,7 +227,7 @@ def cmd_converge(args, phase) -> int:
     resolved = _ResolvedCurve(args.curve, max(ns))
     # the whole ladder, before the gates and the costly oracle; a file is
     # resampled even at its own n
-    ladder = [resolved.resample(n) for n in ns]
+    ladder = [sample_uniform(resolved.path, n) for n in ns]
     convexity = resolved.gates(args.force)[2]
     oracle = resolved.oracle_volume(convexity)
 
@@ -408,9 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("export-mesh", help="write the hull mesh as an OBJ file")
-    p.add_argument("curve", help="gallery spec or polyline file")
+    add_common(p)
     p.add_argument("path", help="output OBJ path")
-    p.add_argument("--n", type=int, default=None, help="number of samples")
     p.set_defaults(func=cmd_export_mesh)
 
     p = sub.add_parser("gallery-list", help="list built-in curves")

@@ -315,14 +315,10 @@ def discrete_vertex_report(curve: SampledCurve) -> VertexReport:
 def require_vertex_count(report: VertexReport) -> VertexReport:
     """Vertex-count gate of the volume formula: report, unless it refuses.
 
-    Raises PlanarCurveError when the torsion vanishes identically and
-    VertexCountError when it changes sign other than FOUR_VERTICES times.
+    Raises VertexCountError when the torsion changes sign other than
+    FOUR_VERTICES times; a planar profile counts 0. Planarity is
+    require_nonplanar's refusal, which hull_volume and the CLI run first.
     """
-    if report.is_planar:
-        raise PlanarCurveError(
-            "torsion vanishes identically, curve is planar; use the `area` command",
-            suggestion="area",
-        )
     if report.vertex_count != FOUR_VERTICES:
         raise VertexCountError(
             f"torsion changes sign {report.vertex_count} times, expected "

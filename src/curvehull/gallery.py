@@ -33,13 +33,13 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(eq=False)
 class GalleryEntry:
-    """A named curve plus the facts the suite promises about it."""
+    """A named curve plus the facts the suite promises about it (None: no claim)."""
 
     name: str
     curve: AnalyticCurve
     params: dict
     expected_vertex_count: Optional[int]
-    expected_convex: bool
+    expected_convex: Optional[bool]
     planar: bool
     description: str = ""
 
@@ -91,7 +91,7 @@ _BASEBALL = {"a": 1.0, "b": 0.15, "c": 0.7}
 def _baseball(a, b, c):
     shipped = {"a": a, "b": b, "c": c} == _BASEBALL  # the claims hold at the defaults
     x, y, z = [(1, a, 0), (3, b, 0)], [(1, 0, a), (3, 0, -b)], [(2, 0, c)]
-    return x, y, z, 4 if shipped else None, shipped
+    return x, y, z, 4 if shipped else None, shipped or None
 
 
 def _wobble(k: int):
@@ -101,7 +101,7 @@ def _wobble(k: int):
 
 
 # name -> (terms, defaults, description); terms(**params) gives the x, y, z
-# Fourier terms (none in z: planar), the vertex count (None: no claim), convexity
+# Fourier terms (no nonzero z coefficient: planar), vertex count and convexity (None: no claim)
 _CURVES = {
     "saddle": (
         lambda: ([(1, 1, 0)], [(1, 0, 1)], [(2, 1, 0)], 4, True),
@@ -175,6 +175,6 @@ def get(spec: str) -> GalleryEntry:
         params=params,
         expected_vertex_count=vertex_count,
         expected_convex=convex,
-        planar=not z,
+        planar=not any(c or s for _, c, s in z),
         description=description,
     )

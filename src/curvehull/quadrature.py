@@ -71,10 +71,8 @@ def tetra_volume_matrix(curve: SampledCurve, rows, cols) -> np.ndarray:
 
 
 def _tree_sum(parts) -> float:
-    """Fold partial sums pairwise in fixed order (deterministic reduction)."""
+    """Fold nonempty partial sums pairwise in fixed order (deterministic reduction)."""
     vals = list(parts)
-    if not vals:
-        return 0.0
     while len(vals) > 1:
         nxt = [vals[k] + vals[k + 1] for k in range(0, len(vals) - 1, 2)]
         if len(vals) % 2:

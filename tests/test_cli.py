@@ -305,6 +305,11 @@ def _ellipse_volume(tmp_path):
     return lambda: curvehull.hull_volume(sc), ("volume", "ellipse", "--n", "100")
 
 
+def _zero_length_volume(tmp_path):
+    curve = curvehull.gallery.get("ellipse:a=0,b=0").curve
+    return lambda: curvehull.sample_uniform(curve, 1000), ("volume", "ellipse:a=0,b=0")
+
+
 def _wobble3_file_volume(tmp_path):
     sc = curvehull.sample_uniform(curvehull.gallery.get("wobble:k=3").curve, 500)
     path = write_polyline(tmp_path / "wobble3.txt", sc.points)
@@ -325,12 +330,19 @@ def _saddle_area(tmp_path):
     "case, gate, names",
     [
         (_ellipse_volume, "planarity", ()),
+        (_zero_length_volume, "degenerate", ("zero length",)),
         # the override is spelled both ways: a CLI flag and a library argument
         (_wobble3_file_volume, "vertex_count", ("--force", "force=True")),
         (_coarse_file_volume, "vertex_count", ("--force", "force=True")),
         (_saddle_area, "planarity", ()),
     ],
-    ids=["ellipse-volume", "wobble3-file-volume", "coarse-file-volume", "saddle-area"],
+    ids=[
+        "ellipse-volume",
+        "zero-length-volume",
+        "wobble3-file-volume",
+        "coarse-file-volume",
+        "saddle-area",
+    ],
 )
 def test_library_and_cli_refuse_with_the_same_words(case, gate, names, tmp_path, capsys):
     library_call, argv = case(tmp_path)
@@ -461,6 +473,10 @@ def test_converge_csv_gaps_decrease(capsys):
 def test_converge_empty_list_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "converge", "saddle", "--ns", "")
     assert code == 2
+    code, out, err = run_cli(capsys, "converge", "saddle", "--ns", "100,abc")
+    assert code == 2
+    assert out == ""
+    assert "bad --ns list '100,abc'" in err
 
 
 def test_converge_checks_every_n_before_the_gates_and_oracle(monkeypatch, capsys):
@@ -562,7 +578,7 @@ def test_diagnose_seed_changes_probe_stream(capsys):
     assert rep2["multiplicity_histogram"] == {"4": 20}
 
 
-@pytest.mark.parametrize("probes", ["0", "-1"])
+@pytest.mark.parametrize("probes", ["0", "-1", "abc"])
 def test_diagnose_probes_below_one_is_a_usage_error(probes, capsys):
     with pytest.raises(SystemExit) as info:
         main(["diagnose", "saddle", "--n", "200", "--probes", probes])
@@ -650,6 +666,14 @@ def test_polyline_parse_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "volume", str(bad))
     assert code == 2
     assert "expected three numbers" in err
+    bad.write_text("0 0 1\n1 2 x\n")
+    code, out, err = run_cli(capsys, "volume", str(bad))
+    assert code == 2
+    assert f"{bad}:2: could not convert string to float" in err
+    bad.write_text("# only a comment\n\n   # and another\n")
+    code, out, err = run_cli(capsys, "volume", str(bad))
+    assert code == 2
+    assert f"{bad}: no points found" in err
 
 
 def test_polyline_non_finite_coordinate_names_its_line(tmp_path, capsys):

@@ -8,6 +8,7 @@ from curvehull import (
     NotClosedError,
     PlanarCurveError,
     SampledCurve,
+    VertexCountError,
     build_hull,
     count_vertices,
     discrete_frenet_profile,
@@ -19,6 +20,7 @@ from curvehull import (
     sample_uniform,
     signed_distance,
 )
+from curvehull.curves import require_vertex_count
 
 TWO_PI = 2.0 * np.pi
 
@@ -167,6 +169,10 @@ def test_planar_curve_reports_degenerate_torsion():
     assert rep.is_planar
     assert rep.vertex_count == 0
     assert rep.vertex_params == []
+    # planarity is require_nonplanar's refusal; the vertex gate counts 0
+    with pytest.raises(VertexCountError) as info:
+        require_vertex_count(count_vertices(frenet_profile(gallery.get("ellipse").curve, 1024)))
+    assert info.value.details["vertex_count"] == 0
 
 
 def test_discrete_profile_matches_analytic_counts(saddle_curve):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from curvehull import count_vertices, frenet_profile, gallery, is_convex_curve, sample_uniform
+from curvehull import (
+    PlanarCurveError,
+    count_vertices,
+    frenet_profile,
+    gallery,
+    is_convex_curve,
+    sample_uniform,
+)
+from curvehull.curves import require_nonplanar
 
 
 def test_names_are_sorted_and_complete():
@@ -95,6 +103,19 @@ def test_ellipse_is_planar():
     assert entry.planar
     sc = sample_uniform(entry.curve, 100)
     assert np.allclose(sc.points[:, 2], 0.0)
+
+
+def test_off_default_baseballs_claim_only_what_holds():
+    # c = 0 leaves a zero z term: the curve is planar and the gate refuses it
+    flat = gallery.get("baseball:c=0")
+    assert flat.planar
+    with pytest.raises(PlanarCurveError):
+        require_nonplanar(sample_uniform(flat.curve, 200))
+    # off the defaults neither the vertex count nor convexity is claimed;
+    # this one is convex, as the volume command's convexity gate finds
+    other = gallery.get("baseball:b=0.3,c=0.4")
+    assert (other.expected_vertex_count, other.expected_convex) == (None, None)
+    assert is_convex_curve(sample_uniform(other.curve, 500)).is_convex
 
 
 def test_trefoil_is_not_convex():
