@@ -28,9 +28,6 @@ from . import gallery, hull, quadrature
 from .curves import (
     COINCIDENT_RTOL,
     SampledCurve,
-    count_vertices,
-    discrete_vertex_report,
-    frenet_profile,
     is_convex_curve,
     piecewise_linear,
     planarity_check,
@@ -40,16 +37,15 @@ from .curves import (
     sample_uniform,
 )
 from .errors import GateError
-from .quadrature import hull_volume, planar_area_integral
+from .quadrature import discrete_vertex_report, hull_volume, planar_area_integral
 
 ORACLE_SAMPLES = 10_000    # --verify and converge oracle size; even, as it also hulls every other
-_GATE_PROFILE_MIN = 512    # min sample count for the analytic vertex gate
 _THREADS_HELP = "accepted for compatibility; changes neither the result nor the work"
 
 
 def _emit(command: str, fields: dict) -> None:
     """Print one report: fields plus the schema version and command name."""
-    report = {"schema": 2, "command": command, **fields}
+    report = {"schema": 3, "command": command, **fields}
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -132,20 +128,13 @@ class _ResolvedCurve:
                 ) from None
             self.samples = self.gate_points = sample_uniform(self.path, 1000 if n is None else n)
 
-    def vertex_report(self):
-        """Torsion sign count: from exact derivatives for a gallery curve,
-        from the points themselves for a polyline."""
-        if self.path.has_derivatives:
-            m = max(self.samples.n, _GATE_PROFILE_MIN)
-            return count_vertices(frenet_profile(self.path, m))
-        return discrete_vertex_report(self.gate_points)
-
     def gates(self, force: bool, skip_convexity: bool = False) -> tuple:
         """Planarity, then the vertex count unless force, then convexity unless
         skip_convexity: the volume formula's gate results, None where skipped."""
         flat = require_nonplanar(self.samples)
-        vertex_report = None if force else require_vertex_count(self.vertex_report())
-        convexity = None if skip_convexity else require_convex(self.gate_points)
+        points = self.gate_points
+        vertex_report = None if force else require_vertex_count(discrete_vertex_report(points))
+        convexity = None if skip_convexity else require_convex(points)
         return flat, vertex_report, convexity
 
     def oracle_volume(self, convexity) -> float:
@@ -266,8 +255,17 @@ def cmd_diagnose(args, phase) -> int:
         mesh = (convexity if gate_points is samples else is_convex_curve(samples)).hull
 
     with phase("structure"):
-        vertex_report = resolved.vertex_report()
-        support = hull.support_polygons(mesh)
+        vertex_report = discrete_vertex_report(gate_points)
+        # P is read on the points V was counted on, at its stride: the noise it
+        # thinned away would split their hull into spurious flat patches
+        k = vertex_report.stride
+        if k == 1:
+            support = hull.support_polygons(convexity.hull)
+        else:
+            strided = SampledCurve.from_points(gate_points.points[::k])
+            support = hull.support_polygons(is_convex_curve(strided).hull)
+            for patch in support.patches:
+                patch.sample_ids = [k * i for i in patch.sample_ids]  # indices of gate_points
         # the inequality holds only for a loop on its own convex hull
         inequality = None
         if convexity.is_convex:

@@ -224,7 +224,9 @@ def discrete_frenet_profile(curve: SampledCurve) -> FrenetProfile:
 
     Treats the samples as equally spaced in arc length with step
     h = total_length / n. Accuracy is fourth order in h for points lying on a
-    smooth curve. params holds arc-length values i * h.
+    smooth curve. params holds arc-length values i * h. No gate reads it, as
+    third differences amplify rounding by about h^-3; it is kept only because
+    perfbench/spans.py wraps it by name.
     """
     p = curve.points
     n = len(p)
@@ -253,9 +255,6 @@ class VertexReport:
     min_kappa: float
     max_abs_tau: float
     degenerate_samples: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def count_vertices(profile: FrenetProfile) -> VertexReport:
@@ -299,25 +298,12 @@ def count_vertices(profile: FrenetProfile) -> VertexReport:
     )
 
 
-def discrete_vertex_report(curve: SampledCurve) -> VertexReport:
-    """count_vertices of a loop's own points; VertexCountError when the loop
-    has fewer than MIN_PROFILE_SAMPLES points, too few to count on."""
-    if curve.n < MIN_PROFILE_SAMPLES:
-        raise VertexCountError(
-            f"{curve.n} points are too few to count torsion sign changes, need at "
-            f"least {MIN_PROFILE_SAMPLES}; {_FORCE_HINT}",
-            points=curve.n,
-            minimum=MIN_PROFILE_SAMPLES,
-        )
-    return count_vertices(discrete_frenet_profile(curve))
-
-
-def require_vertex_count(report: VertexReport) -> VertexReport:
+def require_vertex_count(report):
     """Vertex-count gate of the volume formula: report, unless it refuses.
 
-    Raises VertexCountError when the torsion changes sign other than
-    FOUR_VERTICES times; a planar profile counts 0. Planarity is
-    require_nonplanar's refusal, which hull_volume and the CLI run first.
+    Raises VertexCountError when report.vertex_count is not FOUR_VERTICES;
+    a planar loop counts 0. Planarity is require_nonplanar's refusal, which
+    hull_volume and the CLI run first, before quadrature.discrete_vertex_report.
     """
     if report.vertex_count != FOUR_VERTICES:
         raise VertexCountError(

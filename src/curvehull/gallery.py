@@ -112,7 +112,7 @@ _CURVES = {
         _baseball, _BASEBALL, "seam-like closed curve, 4 torsion sign changes at defaults"
     ),
     "ellipse": (
-        lambda a, b: ([(1, a, 0)], [(1, 0, b)], [], None, True),
+        lambda a, b: ([(1, a, 0)], [(1, 0, b)], [], None, None),
         {"a": 2.0, "b": 1.0},
         "planar ellipse, exercises the area path",
     ),

@@ -15,7 +15,7 @@ draws such probes from the hull's own tetrahedron fan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,6 @@ from . import hull as _hull
 from .curves import (
     SampledCurve,
     as_point_array,
-    discrete_vertex_report,
     planarity_check,
     require_nonplanar,
     require_vertex_count,
@@ -34,6 +33,7 @@ from .errors import NonPlanarCurveError
 COVERING_MULTIPLICITY = 4  # the paper's divisor: chords cover the hull 4 times
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
 PROBE_SCALE = 0.85        # probes shrink toward the fan apex, clearing the boundary samples
+_PLATEAU_MIN_POINTS = 16  # shortest stride loop the vertex count is compared on
 _CHUNK_ROWS = 128         # row block size for the double sum and tetrahedron count
 _SCREEN_SLACK = 1e-9      # rounding allowance of the angular tetrahedron screen
 _FACE_RTOL = 8 * np.finfo(np.float64).eps  # face-sign rounding bound vs |q_e||q_e+1||q_a|
@@ -54,6 +54,49 @@ def _tetra_factors(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tu
     c = np.cross(r, e)
     k = len(rows)
     return np.hstack([e[:k], c[:k]]), np.vstack([c[k:].T, e[k:].T])
+
+
+@dataclass(eq=False)
+class DiscreteVertexReport:
+    """Sign changes of V_{i,i+2} on every stride-th point and every (2 stride)-th
+    one: equal at a plateau; without one, stride is 1 and None means too short."""
+
+    vertex_count: int
+    stride: int
+    count_at_double_stride: Optional[int]
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def discrete_vertex_report(curve: SampledCurve) -> DiscreteVertexReport:
+    """The sign changes of V_{i,i+2} around a loop, read where they settle.
+
+    V_{i,i+2}, the tetrahedron r_i ... r_{i+3}, is the paper's bracket
+    [r_{i+1} - r_i, r_{i+2} - r_i, r_{i+3} - r_i] / 6, taken from the
+    kernel's factors as row dot products. Exact zeros have no sign and are
+    dropped. The count is made on every k-th point for k = 1, 2, 4, ... up
+    to the first k whose count equals the count at 2k: noise flips the
+    signs of the small V_{i,i+2} of close points, and thinning grows them
+    past it. If the stride-2k loop would keep fewer than _PLATEAU_MIN_POINTS
+    points first, no count is confirmed and the stride-1 count is reported.
+    Exact samples of a smooth curve settle at k = 1.
+    """
+
+    def sign_changes(points):
+        i = np.arange(len(points))
+        a, bt = _tetra_factors(points, i, (i + 2) % len(points))
+        sign = np.sign(np.einsum("ij,ji->i", a, bt))
+        sign = sign[sign != 0]
+        return int(np.count_nonzero(sign != np.roll(sign, 1)))
+
+    counts, k = [sign_changes(curve.points)], 1
+    while len(curve.points[:: 2 * k]) >= _PLATEAU_MIN_POINTS:
+        counts.append(sign_changes(curve.points[:: 2 * k]))
+        if counts[-1] == counts[-2]:
+            return DiscreteVertexReport(counts[-2], k, counts[-1])
+        k *= 2
+    return DiscreteVertexReport(counts[0], 1, counts[1] if len(counts) > 1 else None)
 
 
 def tetra_volume_matrix(curve: SampledCurve, rows, cols) -> np.ndarray:
@@ -136,12 +179,11 @@ def hull_volume(
     """Hull volume of a closed loop: (1/4) times the absolute double sum.
 
     The 1/4 holds for convex loops with four torsion sign changes, so the
-    gates of the curves module run first: planar input is refused
-    (require_nonplanar), and so is a loop whose own points do not show four
-    sign changes (discrete_vertex_report, require_vertex_count) unless
-    force=True skips that gate; the number returned then rests on an
-    unverified hypothesis. Convexity is not checked here; require_convex
-    does that.
+    gates run first: planar input is refused (require_nonplanar), and so
+    is a loop whose own points do not show four sign changes of V_{i,i+2}
+    (discrete_vertex_report, require_vertex_count) unless force=True skips
+    that gate; the number returned then rests on an unverified hypothesis.
+    Convexity is not checked here; require_convex does that.
 
     with_error_estimate=True also evaluates the sum on every second sample
     and reports |V(n) - V(n/2)| as a resolution error proxy; it is None for

@@ -67,7 +67,7 @@ def saddle_file(tmp_path, n):
 def test_volume_verified_run(saddle_oracle_volume, capsys):
     code, rep = cli_json(capsys, "volume", "saddle", "--n", "500", "--verify")
     assert code == 0
-    assert rep["schema"] == 2
+    assert rep["schema"] == 3
     assert rep["relative_gap"] < 1e-3
     # the two-hull oracle against the acceptance gate's 200k-point hull
     assert abs(rep["oracle_volume"] - saddle_oracle_volume) / saddle_oracle_volume < 2e-9
@@ -179,9 +179,9 @@ def test_volume_convexity_gate(capsys):
 
 
 def test_volume_gates_planarity_before_the_vertex_stencil(square_file, capsys):
-    # 4 points are too few for the 8-point Frenet stencil (exit 2), but the
-    # planarity gate runs first and refuses the square with exit 1; volume
-    # and converge share the gate order
+    # the vertex gate counts 4 on any 4-point loop, as V_{i,i+2} alternates
+    # in sign, but the planarity gate runs first and refuses the square with
+    # exit 1; volume and converge share the gate order
     for command in ("volume", "converge"):
         code, rep = cli_json(capsys, command, square_file)
         assert code == 1, command
@@ -277,27 +277,34 @@ def test_a_far_three_point_file_is_refused_as_planar(tmp_path, capsys):
     assert rep["area"] == pytest.approx(np.linalg.norm(np.cross(b - a, c - a)) / 2, rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [20, 6])
-def test_coarse_polyline_is_refused_by_the_vertex_gate(n, tmp_path, capsys):
-    # too few points to count torsion sign changes on: a gate refusal
-    # (exit 1) naming the point count and the minimum, not a usage error
+@pytest.mark.parametrize("n", [20, 6, 4])
+def test_coarse_polyline_gets_the_volume_of_its_hull(n, tmp_path, capsys):
+    # the bracket V_{i,i+2} counts 4 on a coarse saddle, so the formula runs,
+    # and it is the hull of the file's points, as hull_volume says; the
+    # 4-point saddle is a tetrahedron, where the formula is its volume
     path = saddle_file(tmp_path, n)
+    code, rep = cli_json(capsys, "volume", path)
+    assert code == 0
+    assert rep["vertex_report"] == {
+        "vertex_count": 4, "stride": 1, "count_at_double_stride": None
+    }
+    assert rep["discrete_gap"] < 1e-12
+    volume = rep["formula_volume"]["volume"]
+    assert volume == curvehull.hull_volume(load_polyline(path)).volume
+    code, forced = cli_json(capsys, "volume", path, "--force")
+    assert forced["formula_volume"]["volume"] == volume
+    if n == 20:
+        assert volume == 2.9893408222247353
+    if n == 4:
+        a, b, c, d = load_polyline(path).points
+        assert volume == pytest.approx(abs(np.linalg.det([b - a, c - a, d - a])) / 6, rel=1e-15)
     for argv in (
-        ("volume", path),
         ("volume", path, "--n", "100"),
         ("converge", path, "--ns", "100,200"),
         ("diagnose", path),
     ):
-        code, rep = cli_json(capsys, *argv)
-        assert code == 1, argv
-        error = rep["error"]
-        assert error["gate"] == "vertex_count", argv
-        assert (error["points"], error["minimum"]) == (n, 64), argv
-        assert "--force" in error["message"], argv
-    code, rep = cli_json(capsys, "volume", path, "--force")
-    assert code == 0
-    if n == 20:
-        assert rep["formula_volume"]["volume"] == 2.9893408222247353
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def _ellipse_volume(tmp_path):
@@ -316,11 +323,6 @@ def _wobble3_file_volume(tmp_path):
     return lambda: curvehull.hull_volume(load_polyline(path)), ("volume", path)
 
 
-def _coarse_file_volume(tmp_path):
-    path = saddle_file(tmp_path, 20)
-    return lambda: curvehull.hull_volume(load_polyline(path)), ("volume", path)
-
-
 def _saddle_area(tmp_path):
     sc = curvehull.sample_uniform(curvehull.gallery.get("saddle").curve, 200)
     return lambda: curvehull.planar_area_integral(sc), ("area", "saddle", "--n", "200")
@@ -333,14 +335,12 @@ def _saddle_area(tmp_path):
         (_zero_length_volume, "degenerate", ("zero length",)),
         # the override is spelled both ways: a CLI flag and a library argument
         (_wobble3_file_volume, "vertex_count", ("--force", "force=True")),
-        (_coarse_file_volume, "vertex_count", ("--force", "force=True")),
         (_saddle_area, "planarity", ()),
     ],
     ids=[
         "ellipse-volume",
         "zero-length-volume",
         "wobble3-file-volume",
-        "coarse-file-volume",
         "saddle-area",
     ],
 )
@@ -632,6 +632,44 @@ def test_diagnose_lists_support_patches_by_smallest_sample(spec, n, count, capsy
     assert all(ids == sorted(set(ids)) for ids in patches)
 
 
+@pytest.mark.parametrize("spec, vertices, patches", [("saddle", 4, 0), ("wobble:k=3", 6, 2)])
+def test_diagnose_reads_support_patches_at_the_vertex_stride(
+    spec, vertices, patches, tmp_path, capsys
+):
+    # rounding to 6 decimals splits the hull of all the points into dozens
+    # of spurious flat patches; on every k-th point only the real ones stay
+    t = np.arange(1000) * (2 * np.pi / 1000)
+    path = tmp_path / "rounded.txt"
+    np.savetxt(path, curvehull.gallery.get(spec).curve(t) + [0.41, -0.63, 0.27], fmt="%.6f")
+    code, rep = cli_json(capsys, "diagnose", str(path), "--probes", "5")
+    assert code == 0
+    k = rep["vertex_report"]["stride"]
+    assert k > 1 and rep["vertex_report"]["vertex_count"] == vertices
+    ids = rep["support_polygons"]["patch_sample_ids"]
+    assert rep["support_polygons"]["count"] == len(ids) == patches
+    assert all(i % k == 0 for patch in ids for i in patch)  # indices of the file's points
+    assert rep["inequality"] == {
+        "vertex_count": vertices, "support_count": patches, "satisfied": True, "slack": 0
+    }
+
+
+@pytest.mark.parametrize("decimals", [6, 17])
+def test_diagnose_reads_support_patches_on_the_file_points_under_n(decimals, tmp_path, capsys):
+    # V is counted on the file's points, so P is too, at stride 1 (the
+    # exact file) as at k > 1 (6 decimals): --n resamples only the sum
+    t = np.arange(1000) * (2 * np.pi / 1000)
+    path = tmp_path / "wobble.txt"
+    points = curvehull.gallery.get("wobble:k=3").curve(t) + [0.41, -0.63, 0.27]
+    np.savetxt(path, points, fmt=f"%.{decimals}g" if decimals > 6 else "%.6f")
+    _, own = cli_json(capsys, "diagnose", str(path), "--probes", "5")
+    code, resampled = cli_json(capsys, "diagnose", str(path), "--n", "150", "--probes", "5")
+    assert code == 0 and resampled["n"] == 150
+    assert (own["vertex_report"]["stride"] > 1) == (decimals == 6)
+    for key in ("vertex_report", "support_polygons", "inequality"):
+        assert resampled[key] == own[key]
+    assert own["support_polygons"]["count"] == 2
+
+
 # ---------------------------------------------------------------- export-mesh
 
 
@@ -809,11 +847,11 @@ def test_readme_lists_exactly_the_keys_of_each_report(tmp_path, capsys):
         code, rep = cli_json(capsys, *argv)
         assert code == 0, row
         assert set(rep) == set(re.findall(r"`(\w+)`", table[row])), row
-        assert rep["schema"] == 2, row
+        assert rep["schema"] == 3, row
     code, rep = cli_json(capsys, "volume", "ellipse")
     assert code == 1
     assert set(rep) == {"schema", "command", "error"}
-    assert rep["schema"] == 2
+    assert rep["schema"] == 3
 
 
 def test_gallery_list(capsys):

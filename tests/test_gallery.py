@@ -101,6 +101,10 @@ def test_wobble_promises_hold():
 def test_ellipse_is_planar():
     entry = gallery.get("ellipse")
     assert entry.planar
+    # is_convex_curve refuses every planar loop, so no convexity is claimed
+    assert entry.expected_convex is None
+    with pytest.raises(PlanarCurveError):
+        is_convex_curve(sample_uniform(entry.curve, 100))
     sc = sample_uniform(entry.curve, 100)
     assert np.allclose(sc.points[:, 2], 0.0)
 
