@@ -31,7 +31,6 @@ from .curves import (
     is_convex_curve,
     piecewise_linear,
     planarity_check,
-    require_convex,
     require_nonplanar,
     require_vertex_count,
     sample_uniform,
@@ -45,7 +44,7 @@ _THREADS_HELP = "accepted for compatibility; changes neither the result nor the 
 
 def _emit(command: str, fields: dict) -> None:
     """Print one report: fields plus the schema version and command name."""
-    report = {"schema": 3, "command": command, **fields}
+    report = {"schema": 4, "command": command, **fields}
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -103,22 +102,20 @@ def load_polyline(path) -> SampledCurve:
 
 
 class _ResolvedCurve:
-    """A curve argument resolved to working samples, gate points and a path.
+    """A curve argument resolved to a path and, for a polyline file, its points.
 
-    gate_points are a polyline file's own points, which lie on the underlying
-    curve (resampled points sit on chords and would blur torsion), or else a
-    gallery curve's working samples. path is the curve that sample_uniform
-    walks to resample: the gallery curve, or the file's polyline.
+    path is the curve that sample_uniform walks: the gallery curve, or the
+    file's polyline. file is the file's own points, which lie on the
+    underlying curve (resampled points sit on its chords), or None.
     """
 
-    def __init__(self, spec: str, n):
+    def __init__(self, spec: str):
         looks_like_path = os.sep in spec or spec.endswith((".txt", ".xyz", ".poly"))
         if os.path.exists(spec) or looks_like_path:
-            self.gate_points = load_polyline(spec)
-            self.path = piecewise_linear(self.gate_points)
-            same_n = n is None or n == self.gate_points.n
-            self.samples = self.gate_points if same_n else sample_uniform(self.path, n)
+            self.file = load_polyline(spec)
+            self.path = piecewise_linear(self.file)
         else:
+            self.file = None
             try:
                 self.path = gallery.get(spec).curve
             except KeyError:
@@ -126,47 +123,48 @@ class _ResolvedCurve:
                     f"{spec!r} is neither an existing polyline file nor a gallery "
                     f"curve (available: {', '.join(gallery.names())})"
                 ) from None
-            self.samples = self.gate_points = sample_uniform(self.path, 1000 if n is None else n)
 
-    def gates(self, force: bool, skip_convexity: bool = False) -> tuple:
-        """Planarity, then the vertex count unless force, then convexity unless
-        skip_convexity: the volume formula's gate results, None where skipped."""
-        flat = require_nonplanar(self.samples)
-        points = self.gate_points
-        vertex_report = None if force else require_vertex_count(discrete_vertex_report(points))
-        convexity = None if skip_convexity else require_convex(points)
-        return flat, vertex_report, convexity
+    def sample(self, n) -> SampledCurve:
+        """The loop to work on: a file as it is unless n differs from its
+        point count, else n arc-length samples (1000 when n is None)."""
+        if self.file is not None and n in (None, self.file.n):
+            return self.file
+        return sample_uniform(self.path, 1000 if n is None else n)
 
-    def oracle_volume(self, convexity) -> float:
+    def volume(self, samples, force: bool, with_error_estimate: bool = False):
+        """hull_volume on samples. On a resampled file V_{i,i+2} is rounding
+        noise, as its samples sit on the file's chords, so the vertex count is
+        read on the file's own points and the samples are summed with force."""
+        if self.file is None or samples is self.file:
+            return hull_volume(samples, force, with_error_estimate)
+        require_nonplanar(samples)  # planarity refuses first, as in hull_volume
+        report = None if force else require_vertex_count(discrete_vertex_report(self.file))
+        result = hull_volume(samples, True, with_error_estimate)
+        result.vertex_report = report
+        return result
+
+    def oracle_volume(self, convexity=None) -> float:
         """Reference hull volume. A curve with derivatives gets the Richardson
         extrapolation of the hulls of ORACLE_SAMPLES samples and of every other
         one. A polyline gets the volume of the hull of its own points:
-        convexity.hull, the mesh its convexity gate built, or the hull of a
-        new convexity check when convexity is None."""
+        convexity.hull, the mesh their convexity gate built, when given."""
         if self.path.has_derivatives:
             return hull.richardson_volume(sample_uniform(self.path, ORACLE_SAMPLES).points)
-        return hull.mesh_volume((convexity or is_convex_curve(self.gate_points)).hull)
+        return hull.mesh_volume((convexity or is_convex_curve(self.file)).hull)
 
 
 def cmd_volume(args, phase) -> int:
     with phase("sample"):
-        resolved = _ResolvedCurve(args.curve, args.n)
-        samples = resolved.samples
-    with phase("gates"):
-        flat, vertex_report, convexity = resolved.gates(args.force, args.skip_convexity)
+        resolved = _ResolvedCurve(args.curve)
+        samples = resolved.sample(args.n)
     with phase("volume"):
-        # force: the gates already ran above (or were skipped on request)
-        result = hull_volume(samples, force=True, with_error_estimate=True)
-        discrete_gap = None
-        # the gate's mesh is the hull of the summed samples only when they are
-        # the gate points, as in cmd_diagnose
-        if convexity and resolved.gate_points is samples:
-            gate_hull_volume = hull.mesh_volume(convexity.hull)
-            discrete_gap = abs(result.volume - gate_hull_volume) / gate_hull_volume
+        result = resolved.volume(samples, args.force, with_error_estimate=True)
+        gate_hull_volume = hull.mesh_volume(result.convexity.hull)
+        discrete_gap = abs(result.volume - gate_hull_volume) / gate_hull_volume
     oracle = gap = None
     if args.verify:
         with phase("oracle"):
-            oracle = resolved.oracle_volume(convexity)
+            oracle = resolved.oracle_volume(result.convexity if samples is resolved.file else None)
             gap = abs(result.volume - oracle) / oracle
 
     _emit(
@@ -174,14 +172,13 @@ def cmd_volume(args, phase) -> int:
         {
             "curve_name": resolved.path.name,
             "n": samples.n,
-            "planarity": flat.as_dict(),
-            "vertex_report": vertex_report.as_dict() if vertex_report else None,
-            "convexity": convexity.is_convex if convexity else None,
+            "planarity": result.planarity.as_dict(),
+            "vertex_report": result.vertex_report.as_dict() if result.vertex_report else None,
             "discrete_gap": discrete_gap,
             "formula_volume": result.as_dict(),
             "oracle_volume": oracle,
             "relative_gap": gap,
-            "unverified_hypothesis": args.force or args.skip_convexity,
+            "unverified_hypothesis": args.force,
         },
     )
     return 0
@@ -189,8 +186,8 @@ def cmd_volume(args, phase) -> int:
 
 def cmd_area(args, phase) -> int:
     with phase("total"):
-        resolved = _ResolvedCurve(args.curve, args.n)
-        samples = resolved.samples
+        resolved = _ResolvedCurve(args.curve)
+        samples = resolved.sample(args.n)
         area = planar_area_integral(samples)  # refuses a non-planar curve
         flat = planarity_check(samples)
     _emit(
@@ -213,18 +210,17 @@ def cmd_converge(args, phase) -> int:
     if not ns:
         raise ValueError("--ns list is empty")
 
-    resolved = _ResolvedCurve(args.curve, max(ns))
-    # the whole ladder, before the gates and the costly oracle; a file is
-    # resampled even at its own n
+    resolved = _ResolvedCurve(args.curve)
+    # every row sampled before the gates and the costly oracle; a file even at its own n
     ladder = [sample_uniform(resolved.path, n) for n in ns]
-    convexity = resolved.gates(args.force)[2]
-    oracle = resolved.oracle_volume(convexity)
-
-    rows = []
-    for samples in ladder:
+    # every row through the gates, the largest first, so that it names a refusal
+    volumes = {}
+    for samples in sorted(ladder, key=lambda s: s.n, reverse=True):
         with phase(f"n={samples.n}"):
-            volume = hull_volume(samples, force=True).volume
-        rows.append((samples.n, volume, oracle, abs(volume - oracle) / oracle))
+            volumes[samples.n] = resolved.volume(samples, args.force).volume
+    oracle = resolved.oracle_volume()  # no row is a file's own points
+    rows = [(n, volumes[n], oracle, abs(volumes[n] - oracle) / oracle) for n in ns]
+    columns = ("n", "formula_volume", "oracle_volume", "relative_gap")
 
     if args.json:
         _emit(
@@ -232,14 +228,11 @@ def cmd_converge(args, phase) -> int:
             {
                 "curve_name": resolved.path.name,
                 "oracle_samples": ORACLE_SAMPLES if resolved.path.has_derivatives else None,
-                "rows": [
-                    {"n": n, "formula_volume": v, "oracle_volume": o, "relative_gap": g}
-                    for n, v, o, g in rows
-                ],
+                "rows": [dict(zip(columns, row)) for row in rows],
             },
         )
     else:
-        print("n,formula_volume,oracle_volume,relative_gap")
+        print(",".join(columns))
         for n, v, o, g in rows:
             print(f"{n},{v:.17g},{o:.17g},{g:.6g}")
     return 0
@@ -247,9 +240,10 @@ def cmd_converge(args, phase) -> int:
 
 def cmd_diagnose(args, phase) -> int:
     with phase("hull"):
-        resolved = _ResolvedCurve(args.curve, args.n)
-        samples, gate_points = resolved.samples, resolved.gate_points
-        require_nonplanar(samples)  # first, as in volume's gates, so both refuse alike
+        resolved = _ResolvedCurve(args.curve)
+        samples = resolved.sample(args.n)
+        gate_points = samples if resolved.file is None else resolved.file
+        require_nonplanar(samples)  # first, as in hull_volume, so both refuse alike
         convexity = is_convex_curve(gate_points)
         # the convexity check read the hull of samples unless a polyline was resampled
         mesh = (convexity if gate_points is samples else is_convex_curve(samples)).hull
@@ -310,8 +304,8 @@ def cmd_diagnose(args, phase) -> int:
 
 
 def cmd_export_mesh(args, phase) -> int:
-    resolved = _ResolvedCurve(args.curve, args.n)
-    mesh = is_convex_curve(resolved.samples).hull
+    resolved = _ResolvedCurve(args.curve)
+    mesh = is_convex_curve(resolved.sample(args.n)).hull
     hull.save_obj(mesh, args.path)
     _emit(
         "export-mesh",
@@ -372,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--verify", action="store_true", help="cross-check against the hull oracle")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
-    p.add_argument("--skip-convexity", action="store_true", help="skip the convexity gate")
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_volume)
 

@@ -302,8 +302,7 @@ def require_vertex_count(report):
     """Vertex-count gate of the volume formula: report, unless it refuses.
 
     Raises VertexCountError when report.vertex_count is not FOUR_VERTICES;
-    a planar loop counts 0. Planarity is require_nonplanar's refusal, which
-    hull_volume and the CLI run first, before quadrature.discrete_vertex_report.
+    a planar loop counts 0, but hull_volume runs require_nonplanar first.
     """
     if report.vertex_count != FOUR_VERTICES:
         raise VertexCountError(

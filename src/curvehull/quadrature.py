@@ -22,9 +22,12 @@ import numpy as np
 
 from . import hull as _hull
 from .curves import (
+    ConvexityResult,
+    PlanarityResult,
     SampledCurve,
     as_point_array,
     planarity_check,
+    require_convex,
     require_nonplanar,
     require_vertex_count,
 )
@@ -163,11 +166,15 @@ def _abs_double_sum(points: np.ndarray) -> float:
 
 @dataclass(eq=False)
 class VolumeResult:
-    """Outcome of the double-sum volume evaluation."""
+    """The double sum's volume and the gate results it rests on; vertex_report
+    is None when force skipped it, and convexity.hull is the summed loop's hull."""
 
     volume: float
     n: int
-    error_estimate: Optional[float] = None
+    error_estimate: Optional[float]
+    planarity: PlanarityResult
+    vertex_report: Optional[DiscreteVertexReport]
+    convexity: ConvexityResult
 
     def as_dict(self) -> dict:
         return {"volume": self.volume, "error_estimate": self.error_estimate}
@@ -178,26 +185,25 @@ def hull_volume(
 ) -> VolumeResult:
     """Hull volume of a closed loop: (1/4) times the absolute double sum.
 
-    The 1/4 holds for convex loops with four torsion sign changes, so the
-    gates run first: planar input is refused (require_nonplanar), and so
-    is a loop whose own points do not show four sign changes of V_{i,i+2}
-    (discrete_vertex_report, require_vertex_count) unless force=True skips
-    that gate; the number returned then rests on an unverified hypothesis.
-    Convexity is not checked here; require_convex does that.
+    The 1/4 holds for convex loops with four torsion sign changes, so three
+    gates run first, on the summed loop: require_nonplanar; then
+    require_vertex_count on discrete_vertex_report, unless force=True skips
+    it and the volume rests on an unverified hypothesis; then require_convex,
+    which force does not skip.
 
     with_error_estimate=True also evaluates the sum on every second sample
     and reports |V(n) - V(n/2)| as a resolution error proxy; it is None for
     odd n and for n below 8.
     """
-    require_nonplanar(curve)
-    if not force:
-        require_vertex_count(discrete_vertex_report(curve))
+    flat = require_nonplanar(curve)
+    vertex_report = None if force else require_vertex_count(discrete_vertex_report(curve))
+    convexity = require_convex(curve)
     vol = _abs_double_sum(curve.points) / COVERING_MULTIPLICITY
     est = None
     if with_error_estimate and curve.n >= 8 and curve.n % 2 == 0:
         half = _abs_double_sum(curve.points[::2]) / COVERING_MULTIPLICITY
         est = abs(vol - half)
-    return VolumeResult(volume=vol, n=curve.n, error_estimate=est)
+    return VolumeResult(vol, curve.n, est, flat, vertex_report, convexity)
 
 
 # ----------------------------------------------------------------------------

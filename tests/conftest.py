@@ -72,6 +72,16 @@ def lifted_circle_points() -> np.ndarray:
     return pts
 
 
+def buried_loop_points() -> np.ndarray:
+    """r(t) = ((1 + 0.574 cos 2t) cos t, (1 + 0.574 cos 2t) sin t,
+    0.581 sin(2t + 1.330)) at 1000 uniform t: V_{i,i+2} changes sign 4
+    times, but 172 points are buried inside the hull, and the formula reads
+    2.194359 against the hull's 2.131962."""
+    t = np.arange(1000) * (2 * np.pi / 1000)
+    r = 1 + 0.574 * np.cos(2 * t)
+    return np.stack([r * np.cos(t), r * np.sin(t), 0.581 * np.sin(2 * t + 1.330)], axis=1)
+
+
 def random_rotation(rng) -> np.ndarray:
     """A uniformly random proper rotation matrix."""
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))

@@ -1,2 +1,3 @@
-"""Rewrite tests/golden_cli.json: PYTHONPATH=src python tests/regenerate_golden.py"""
+"""Rewrite tests/golden_cli.json and print each command whose record moved:
+PYTHONPATH=src python tests/regenerate_golden.py"""
 __import__("test_golden").regenerate()

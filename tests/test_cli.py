@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import lifted_circle_points, lifted_flower_points
+from conftest import buried_loop_points, lifted_circle_points, lifted_flower_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,12 +67,11 @@ def saddle_file(tmp_path, n):
 def test_volume_verified_run(saddle_oracle_volume, capsys):
     code, rep = cli_json(capsys, "volume", "saddle", "--n", "500", "--verify")
     assert code == 0
-    assert rep["schema"] == 3
+    assert rep["schema"] == 4
     assert rep["relative_gap"] < 1e-3
     # the two-hull oracle against the acceptance gate's 200k-point hull
     assert abs(rep["oracle_volume"] - saddle_oracle_volume) / saddle_oracle_volume < 2e-9
     assert rep["vertex_report"]["vertex_count"] == 4
-    assert rep["convexity"] is True
     assert rep["unverified_hypothesis"] is False
 
 
@@ -102,28 +101,22 @@ def test_converge_and_verify_print_the_same_oracle(capsys):
 
 
 def test_discrete_gap_measures_the_formula_against_the_gate_hull(tmp_path, capsys):
-    # the hull of the summed samples is the one the convexity gate builds
+    # the hull of the summed samples is the one the convexity gate builds,
+    # a resampled file's samples included
     code, rep = cli_json(capsys, "volume", "saddle", "--n", "2000")
     assert code == 0
     assert rep["discrete_gap"] < 1e-13
     code, rep = cli_json(capsys, "volume", "wobble:k=3", "--force")
     assert code == 0
     assert rep["discrete_gap"] == pytest.approx(0.088, abs=1e-3)
-    # no gate hull, or the gate's hull is not the hull of the summed samples
-    code, rep = cli_json(capsys, "volume", "saddle", "--n", "300", "--skip-convexity")
-    assert code == 0
-    assert rep["discrete_gap"] is None
     path = saddle_file(tmp_path, 400)
-    code, rep = cli_json(capsys, "volume", path)
-    assert code == 0
-    assert rep["discrete_gap"] < 1e-13
-    code, rep = cli_json(capsys, "volume", path, "--n", "600")
-    assert code == 0
-    assert rep["discrete_gap"] is None
+    for resample in ((), ("--n", "600")):
+        code, rep = cli_json(capsys, "volume", path, *resample)
+        assert code == 0
+        assert rep["discrete_gap"] < 1e-13
 
 
-@pytest.mark.parametrize("skip", [(), ("--skip-convexity",)], ids=["gated", "skip-convexity"])
-def test_polyline_oracle_is_the_one_hull_of_its_points(skip, tmp_path, monkeypatch, capsys):
+def test_polyline_oracle_is_the_one_hull_of_its_points(tmp_path, monkeypatch, capsys):
     path = saddle_file(tmp_path, 400)
     built = []
     build_hull = curvehull.hull.build_hull
@@ -133,7 +126,7 @@ def test_polyline_oracle_is_the_one_hull_of_its_points(skip, tmp_path, monkeypat
         return build_hull(points)
 
     monkeypatch.setattr(curvehull.hull, "build_hull", counted)
-    code, rep = cli_json(capsys, "volume", path, "--verify", *skip)
+    code, rep = cli_json(capsys, "volume", path, "--verify")
     assert code == 0
     assert built == [400]
     assert rep["oracle_volume"] == curvehull.mesh_volume(build_hull(load_polyline(path).points))
@@ -160,22 +153,16 @@ def test_volume_force_marks_hypothesis_unverified(capsys):
     assert rep["vertex_report"] is None
 
 
-def test_volume_skip_convexity_marks_hypothesis_unverified(capsys):
-    code, rep = cli_json(capsys, "volume", "saddle", "--n", "300", "--skip-convexity")
-    assert code == 0
-    assert rep["convexity"] is None
-    assert rep["unverified_hypothesis"] is True
-
-
 def test_volume_convexity_gate(capsys):
+    # --force skips the vertex count only, in the CLI as in the library
     code, rep = cli_json(capsys, "volume", "trefoil", "--n", "300", "--force")
     assert code == 1
     assert rep["error"]["gate"] == "convexity"
     assert rep["error"]["non_extreme_count"] > 0
-    code, rep = cli_json(
-        capsys, "volume", "trefoil", "--n", "300", "--force", "--skip-convexity"
-    )
-    assert code == 0
+    sc = curvehull.sample_uniform(curvehull.gallery.get("trefoil").curve, 300)
+    with pytest.raises(curvehull.NonConvexCurveError) as info:
+        curvehull.hull_volume(sc, force=True)
+    assert rep["error"] == {"gate": "convexity", "message": str(info.value), **info.value.details}
 
 
 def test_volume_gates_planarity_before_the_vertex_stencil(square_file, capsys):
@@ -323,6 +310,11 @@ def _wobble3_file_volume(tmp_path):
     return lambda: curvehull.hull_volume(load_polyline(path)), ("volume", path)
 
 
+def _buried_file_volume(tmp_path):
+    path = write_polyline(tmp_path / "buried.txt", buried_loop_points())
+    return lambda: curvehull.hull_volume(load_polyline(path)), ("volume", path)
+
+
 def _saddle_area(tmp_path):
     sc = curvehull.sample_uniform(curvehull.gallery.get("saddle").curve, 200)
     return lambda: curvehull.planar_area_integral(sc), ("area", "saddle", "--n", "200")
@@ -335,12 +327,15 @@ def _saddle_area(tmp_path):
         (_zero_length_volume, "degenerate", ("zero length",)),
         # the override is spelled both ways: a CLI flag and a library argument
         (_wobble3_file_volume, "vertex_count", ("--force", "force=True")),
+        # four sign changes, so only the convexity gate refuses it
+        (_buried_file_volume, "convexity", ()),
         (_saddle_area, "planarity", ()),
     ],
     ids=[
         "ellipse-volume",
         "zero-length-volume",
         "wobble3-file-volume",
+        "buried-file-volume",
         "saddle-area",
     ],
 )
@@ -480,15 +475,41 @@ def test_converge_empty_list_is_usage_error(capsys):
 
 
 def test_converge_checks_every_n_before_the_gates_and_oracle(monkeypatch, capsys):
-    def too_early(self, *args):
+    def too_early(*args, **kwargs):
         raise AssertionError("ran before every --ns entry was sampled")
 
-    monkeypatch.setattr(cli._ResolvedCurve, "gates", too_early)
+    monkeypatch.setattr(cli, "hull_volume", too_early)
     monkeypatch.setattr(cli._ResolvedCurve, "oracle_volume", too_early)
     code, out, err = run_cli(capsys, "converge", "saddle", "--ns", "3,2000")
     assert code == 2
     assert out == ""
     assert "need n >= 4" in err
+
+
+@pytest.mark.parametrize(
+    "argv, function, args",
+    [
+        # hull_volume's planarity gate, then the one inside is_convex_curve
+        (("volume", "saddle", "--n", "2000"), "planarity_check", [2000, 2000]),
+        # each row sampled once, then the oracle's samples
+        (("converge", "baseball", "--ns", "125,250"), "sample_uniform", [125, 250, 10_000]),
+    ],
+    ids=["volume-planarity", "converge-sampling"],
+)
+def test_planarity_and_sampling_call_counts(argv, function, args, monkeypatch, capsys):
+    original = getattr(curvehull.curves, function)
+    seen = []
+
+    def counted(curve, *rest):
+        seen.append(rest[0] if rest else curve.n)
+        return original(curve, *rest)
+
+    for module in (curvehull.curves, curvehull.quadrature, cli):
+        if getattr(module, function, None) is original:
+            monkeypatch.setattr(module, function, counted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert sorted(seen) == args
 
 
 def test_converge_planar_curve_rejected(capsys):
@@ -847,11 +868,11 @@ def test_readme_lists_exactly_the_keys_of_each_report(tmp_path, capsys):
         code, rep = cli_json(capsys, *argv)
         assert code == 0, row
         assert set(rep) == set(re.findall(r"`(\w+)`", table[row])), row
-        assert rep["schema"] == 3, row
+        assert rep["schema"] == 4, row
     code, rep = cli_json(capsys, "volume", "ellipse")
     assert code == 1
     assert set(rep) == {"schema", "command", "error"}
-    assert rep["schema"] == 3
+    assert rep["schema"] == 4
 
 
 def test_gallery_list(capsys):

@@ -6,8 +6,8 @@ so no report holds a temporary path. Stdout is stored split at its
 newlines, so that a diff of the golden file shows the lines that moved, and
 an OBJ file is pinned by its sha256.
 After a change that is meant to alter output, rewrite the golden file with
-`PYTHONPATH=src python tests/regenerate_golden.py` and list the commands
-whose stdout moved.
+`PYTHONPATH=src python tests/regenerate_golden.py`, which prints the argv of
+every command whose record it added, removed or changed.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import lifted_circle_points
+from conftest import buried_loop_points, lifted_circle_points
 
 from curvehull.cli import main
 
@@ -46,8 +46,6 @@ COMMANDS = [
     ("volume", "ellipse", "--n", "100"),
     ("volume", "ellipse:a=0,b=0"),
     ("volume", "trefoil", "--n", "300", "--force"),
-    ("volume", "trefoil", "--n", "300", "--force", "--skip-convexity"),
-    ("volume", "saddle", "--n", "300", "--skip-convexity"),
     ("volume", "wobble:k=5", "--n", "12"),
     ("area", "saddle", "--n", "200"),
     ("converge", "baseball", "--ns", "125,250", "--json"),
@@ -57,7 +55,6 @@ COMMANDS = [
     # polyline files
     ("volume", "saddle400.txt"),
     ("volume", "saddle400.txt", "--n", "600"),
-    ("volume", "saddle400.txt", "--verify", "--skip-convexity"),
     ("diagnose", "saddle400.txt", "--probes", "10"),
     ("converge", "saddle400.txt", "--ns", "200,400"),
     ("volume", "saddle_round6.txt"),
@@ -66,6 +63,8 @@ COMMANDS = [
     ("diagnose", "saddle6.txt", "--probes", "10"),
     ("volume", "tetra.txt"),
     ("volume", "wobble3.txt"),
+    # four sign changes but buried points: --force skips only the vertex count
+    ("volume", "nonconvex.txt", "--force"),
     ("volume", "square.txt"),
     ("area", "square.txt"),
     ("export-mesh", "cube.txt", "cube.obj"),
@@ -98,6 +97,7 @@ def write_inputs(directory: Path) -> None:
         "saddle6.txt": (_saddle(6), "%.17g"),
         "tetra.txt": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "%.17g"),
         "wobble3.txt": (wobble3, "%.17g"),
+        "nonconvex.txt": (buried_loop_points(), "%.17g"),
         "square.txt": ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], "%.17g"),
         "cube.txt": ([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], "%.17g"),
         "circle.txt": (lifted_circle_points(), "%.17g"),
@@ -121,8 +121,20 @@ def run(argv) -> dict:
     return record
 
 
+def moved(old: list, new: list) -> list:
+    """One line per command whose record new adds, removes or changes against old."""
+    was, now = ({tuple(r["argv"]): r for r in records} for records in (old, new))
+    lines = []
+    for argv in dict.fromkeys([*was, *now]):
+        state = "removed" if argv not in now else "added" if argv not in was else "changed"
+        if was.get(argv) != now.get(argv):
+            lines.append(f"{state}: {' '.join(argv)}")
+    return lines
+
+
 def regenerate() -> None:
-    """Rewrite GOLDEN from the current tree."""
+    """Rewrite GOLDEN from the current tree, and print the argv of every
+    command whose record it adds, removes or changes."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
@@ -131,6 +143,8 @@ def regenerate() -> None:
             records = [run(argv) for argv in COMMANDS]
         finally:
             os.chdir(cwd)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    print("\n".join(moved(old, records)))
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
 
 
@@ -160,3 +174,9 @@ def test_cli_report_matches_golden(argv, inputs, golden, monkeypatch):
 
     diff = difflib.unified_diff(lines(want), lines(got), "golden", "now", lineterm="")
     assert got == want, "\n".join(diff)
+
+
+def test_moved_names_each_added_removed_and_changed_command():
+    old = [{"argv": ["a"], "exit": 0}, {"argv": ["b"], "exit": 0}, {"argv": ["c"], "exit": 0}]
+    new = [{"argv": ["b"], "exit": 1}, {"argv": ["c"], "exit": 0}, {"argv": ["d", "-x"], "exit": 0}]
+    assert moved(old, new) == ["removed: a", "changed: b", "added: d -x"]
