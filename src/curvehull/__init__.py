@@ -21,7 +21,6 @@ from .curves import (
     discrete_frenet_profile,
     frenet_profile,
     is_convex_curve,
-    piecewise_linear,
     planarity_check,
     sample_uniform,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "PlanarityResult",
     "ConvexityResult",
     "sample_uniform",
-    "piecewise_linear",
     "frenet_profile",
     "discrete_frenet_profile",
     "count_vertices",

@@ -8,7 +8,10 @@ Every hull comes from is_convex_curve, which runs the planarity gate first.
 
 Curves are given either as gallery specs ("saddle", "wobble:k=5") or as
 paths to polyline files: plain text, one "x y z" triple per line, '#'
-comments, loop closed implicitly. diagnose draws its probes inside the hull,
+comments, loop closed implicitly. A gallery curve is worked on at --n
+arc-length samples; a file always as it is, its own points, so --n and --ns
+are ignored for it with a note on stderr, and converge's rows are its every
+k-th point. diagnose draws its probes inside the hull,
 every one evaluated, from numpy's default_rng (PCG64) seeded by --seed, so
 diagnostics are reproducible.
 """
@@ -29,16 +32,16 @@ from .curves import (
     COINCIDENT_RTOL,
     SampledCurve,
     is_convex_curve,
-    piecewise_linear,
     planarity_check,
-    require_nonplanar,
-    require_vertex_count,
     sample_uniform,
 )
 from .errors import GateError
 from .quadrature import discrete_vertex_report, hull_volume, planar_area_integral
 
 ORACLE_SAMPLES = 10_000    # --verify and converge oracle size; even, as it also hulls every other
+DEFAULT_NS = "125,250,500,1000,2000"  # converge's sample counts for a gallery curve
+FILE_STRIDES = (16, 8, 4, 2, 1)  # converge's rows for a file: every k-th of its points
+MIN_STRIDE_POINTS = 16     # fewest points a converge row of a file keeps at k > 1
 _THREADS_HELP = "accepted for compatibility; changes neither the result nor the work"
 
 
@@ -101,56 +104,52 @@ def load_polyline(path) -> SampledCurve:
     return SampledCurve.from_points(pts, name=os.path.basename(str(path)))
 
 
-class _ResolvedCurve:
-    """A curve argument resolved to a path and, for a polyline file, its points.
+def _note_ignored(flag: str) -> None:
+    """Say on stderr that a sample-count flag given with a polyline file
+    changes nothing: a file is always taken as it is."""
+    print(f"# note: {flag} is ignored for a polyline file, taken as it is", file=sys.stderr)
 
-    path is the curve that sample_uniform walks: the gallery curve, or the
-    file's polyline. file is the file's own points, which lie on the
-    underlying curve (resampled points sit on its chords), or None.
+
+class _ResolvedCurve:
+    """A curve argument resolved to a gallery curve or a polyline file.
+
+    Exactly one of curve (the gallery's AnalyticCurve) and file (the file's
+    own points) is set. A file's loop is always its own points; a gallery
+    curve's is its arc-length samples.
     """
 
     def __init__(self, spec: str):
+        self.curve = self.file = None
         looks_like_path = os.sep in spec or spec.endswith((".txt", ".xyz", ".poly"))
         if os.path.exists(spec) or looks_like_path:
             self.file = load_polyline(spec)
-            self.path = piecewise_linear(self.file)
         else:
-            self.file = None
             try:
-                self.path = gallery.get(spec).curve
+                self.curve = gallery.get(spec).curve
             except KeyError:
                 raise KeyError(
                     f"{spec!r} is neither an existing polyline file nor a gallery "
                     f"curve (available: {', '.join(gallery.names())})"
                 ) from None
+        self.name = (self.curve if self.file is None else self.file).name
 
     def sample(self, n) -> SampledCurve:
-        """The loop to work on: a file as it is unless n differs from its
-        point count, else n arc-length samples (1000 when n is None)."""
-        if self.file is not None and n in (None, self.file.n):
-            return self.file
-        return sample_uniform(self.path, 1000 if n is None else n)
+        """The loop to work on: a file's own points, or n arc-length samples
+        of a gallery curve (1000 when n is None)."""
+        if self.file is None:
+            return sample_uniform(self.curve, 1000 if n is None else n)
+        if n is not None:
+            _note_ignored("--n")
+        return self.file
 
-    def volume(self, samples, force: bool, with_error_estimate: bool = False):
-        """hull_volume on samples. On a resampled file V_{i,i+2} is rounding
-        noise, as its samples sit on the file's chords, so the vertex count is
-        read on the file's own points and the samples are summed with force."""
-        if self.file is None or samples is self.file:
-            return hull_volume(samples, force, with_error_estimate)
-        require_nonplanar(samples)  # planarity refuses first, as in hull_volume
-        report = None if force else require_vertex_count(discrete_vertex_report(self.file))
-        result = hull_volume(samples, True, with_error_estimate)
-        result.vertex_report = report
-        return result
-
-    def oracle_volume(self, convexity=None) -> float:
-        """Reference hull volume. A curve with derivatives gets the Richardson
+    def oracle_volume(self, convexity) -> float:
+        """Reference hull volume. A gallery curve gets the Richardson
         extrapolation of the hulls of ORACLE_SAMPLES samples and of every other
-        one. A polyline gets the volume of the hull of its own points:
-        convexity.hull, the mesh their convexity gate built, when given."""
-        if self.path.has_derivatives:
-            return hull.richardson_volume(sample_uniform(self.path, ORACLE_SAMPLES).points)
-        return hull.mesh_volume((convexity or is_convex_curve(self.file)).hull)
+        one. A polyline file gets the volume of convexity.hull, the hull its
+        convexity gate built on the file's own points."""
+        if self.file is not None:
+            return hull.mesh_volume(convexity.hull)
+        return hull.richardson_volume(sample_uniform(self.curve, ORACLE_SAMPLES).points)
 
 
 def cmd_volume(args, phase) -> int:
@@ -158,19 +157,19 @@ def cmd_volume(args, phase) -> int:
         resolved = _ResolvedCurve(args.curve)
         samples = resolved.sample(args.n)
     with phase("volume"):
-        result = resolved.volume(samples, args.force, with_error_estimate=True)
+        result = hull_volume(samples, args.force, with_error_estimate=True)
         gate_hull_volume = hull.mesh_volume(result.convexity.hull)
         discrete_gap = abs(result.volume - gate_hull_volume) / gate_hull_volume
     oracle = gap = None
     if args.verify:
         with phase("oracle"):
-            oracle = resolved.oracle_volume(result.convexity if samples is resolved.file else None)
+            oracle = resolved.oracle_volume(result.convexity)
             gap = abs(result.volume - oracle) / oracle
 
     _emit(
         "volume",
         {
-            "curve_name": resolved.path.name,
+            "curve_name": resolved.name,
             "n": samples.n,
             "planarity": result.planarity.as_dict(),
             "vertex_report": result.vertex_report.as_dict() if result.vertex_report else None,
@@ -193,7 +192,7 @@ def cmd_area(args, phase) -> int:
     _emit(
         "area",
         {
-            "curve_name": resolved.path.name,
+            "curve_name": resolved.name,
             "n": samples.n,
             "planarity": flat.as_dict(),
             "area": area,
@@ -203,31 +202,44 @@ def cmd_area(args, phase) -> int:
 
 
 def cmd_converge(args, phase) -> int:
-    try:
-        ns = [int(x) for x in args.ns.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad --ns list {args.ns!r}: {exc}") from None
-    if not ns:
-        raise ValueError("--ns list is empty")
-
     resolved = _ResolvedCurve(args.curve)
-    # every row sampled before the gates and the costly oracle; a file even at its own n
-    ladder = [sample_uniform(resolved.path, n) for n in ns]
+    if resolved.file is None:
+        text = DEFAULT_NS if args.ns is None else args.ns
+        try:
+            ns = [int(x) for x in text.split(",") if x.strip()]
+        except ValueError as exc:
+            raise ValueError(f"bad --ns list {text!r}: {exc}") from None
+        if not ns:
+            raise ValueError("--ns list is empty")
+        # every row sampled before the gates and the costly oracle
+        ladder = [sample_uniform(resolved.curve, n) for n in ns]
+    else:
+        if args.ns is not None:
+            _note_ignored("--ns")
+        # every k-th point, the file itself (k = 1) always among them
+        points = resolved.file.points
+        ladder = [
+            SampledCurve.from_points(points[::k], name=resolved.name)
+            for k in FILE_STRIDES
+            if k == 1 or len(points[::k]) >= MIN_STRIDE_POINTS
+        ]
     # every row through the gates, the largest first, so that it names a refusal
-    volumes = {}
+    results = {}
     for samples in sorted(ladder, key=lambda s: s.n, reverse=True):
         with phase(f"n={samples.n}"):
-            volumes[samples.n] = resolved.volume(samples, args.force).volume
-    oracle = resolved.oracle_volume()  # no row is a file's own points
-    rows = [(n, volumes[n], oracle, abs(volumes[n] - oracle) / oracle) for n in ns]
+            results[samples.n] = hull_volume(samples, args.force)
+    # a file's reference is the hull its own row's convexity gate built
+    oracle = resolved.oracle_volume(results[max(results)].convexity)
+    volumes = [(s.n, results[s.n].volume) for s in ladder]
+    rows = [(n, v, oracle, abs(v - oracle) / oracle) for n, v in volumes]
     columns = ("n", "formula_volume", "oracle_volume", "relative_gap")
 
     if args.json:
         _emit(
             "converge",
             {
-                "curve_name": resolved.path.name,
-                "oracle_samples": ORACLE_SAMPLES if resolved.path.has_derivatives else None,
+                "curve_name": resolved.name,
+                "oracle_samples": ORACLE_SAMPLES if resolved.file is None else None,
                 "rows": [dict(zip(columns, row)) for row in rows],
             },
         )
@@ -242,24 +254,20 @@ def cmd_diagnose(args, phase) -> int:
     with phase("hull"):
         resolved = _ResolvedCurve(args.curve)
         samples = resolved.sample(args.n)
-        gate_points = samples if resolved.file is None else resolved.file
-        require_nonplanar(samples)  # first, as in hull_volume, so both refuse alike
-        convexity = is_convex_curve(gate_points)
-        # the convexity check read the hull of samples unless a polyline was resampled
-        mesh = (convexity if gate_points is samples else is_convex_curve(samples)).hull
+        convexity = is_convex_curve(samples)  # the planarity gate first, as in hull_volume
 
     with phase("structure"):
-        vertex_report = discrete_vertex_report(gate_points)
+        vertex_report = discrete_vertex_report(samples)
         # P is read on the points V was counted on, at its stride: the noise it
         # thinned away would split their hull into spurious flat patches
         k = vertex_report.stride
         if k == 1:
             support = hull.support_polygons(convexity.hull)
         else:
-            strided = SampledCurve.from_points(gate_points.points[::k])
+            strided = SampledCurve.from_points(samples.points[::k])
             support = hull.support_polygons(is_convex_curve(strided).hull)
             for patch in support.patches:
-                patch.sample_ids = [k * i for i in patch.sample_ids]  # indices of gate_points
+                patch.sample_ids = [k * i for i in patch.sample_ids]  # indices of samples
         # the inequality holds only for a loop on its own convex hull
         inequality = None
         if convexity.is_convex:
@@ -282,12 +290,14 @@ def cmd_diagnose(args, phase) -> int:
 
     # covering multiplicity over seeded random interior probes
     with phase("probes"):
-        histogram, probes = quadrature.covering_histogram(samples, mesh, args.probes, args.seed)
+        histogram, probes = quadrature.covering_histogram(
+            samples, convexity.hull, args.probes, args.seed
+        )
 
     _emit(
         "diagnose",
         {
-            "curve_name": resolved.path.name,
+            "curve_name": resolved.name,
             "n": samples.n,
             "seed": args.seed,
             "vertex_report": vertex_report.as_dict(),
@@ -310,7 +320,7 @@ def cmd_export_mesh(args, phase) -> int:
     _emit(
         "export-mesh",
         {
-            "curve_name": resolved.path.name,
+            "curve_name": resolved.name,
             "path": str(args.path),
             "v_lines": int(len(mesh.points)),
             "f_lines": int(mesh.n_facets),
@@ -359,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--n",
             type=int,
             default=None,
-            help="number of samples (default: 1000 for gallery curves, file as-is for polylines)",
+            help="number of samples of a gallery curve (default 1000); "
+            "ignored, with a note on stderr, for a polyline file, taken as it is",
         )
 
     p = sub.add_parser("volume", help="hull volume by the double-sum formula, with gates")
@@ -377,8 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curve", help="gallery spec or polyline file")
     p.add_argument(
         "--ns",
-        default="125,250,500,1000,2000",
-        help="comma-separated sample counts (default 125,250,500,1000,2000)",
+        default=None,
+        help=f"comma-separated sample counts of a gallery curve (default {DEFAULT_NS}); "
+        "ignored, with a note on stderr, for a polyline file, whose rows are its every "
+        f"k-th point, k = 1, 2, 4, 8, 16, in rows of at least {MIN_STRIDE_POINTS} points",
     )
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)

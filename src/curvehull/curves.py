@@ -146,23 +146,6 @@ def sample_uniform(curve: AnalyticCurve, n: int) -> SampledCurve:
     return SampledCurve.from_points(curve(tt), name=curve.name)
 
 
-def piecewise_linear(curve: SampledCurve) -> AnalyticCurve:
-    """View a closed polygonal loop as an analytic curve parameterized by arc length.
-
-    Useful for resampling a polyline at a different point count. No derivative
-    callbacks are attached (a polygon has no continuous curvature).
-    """
-    s_knots = curve.arc_lengths
-    pts = np.vstack([curve.points, curve.points[:1]])
-    total = curve.total_length
-
-    def position(s):
-        s = np.mod(np.asarray(s, dtype=np.float64), total)
-        return np.stack([np.interp(s, s_knots, pts[:, k]) for k in range(3)], axis=-1)
-
-    return AnalyticCurve(position=position, period=total, name=curve.name)
-
-
 # ----------------------------------------------------------------------------
 # Frenet data
 

@@ -101,19 +101,16 @@ def test_converge_and_verify_print_the_same_oracle(capsys):
 
 
 def test_discrete_gap_measures_the_formula_against_the_gate_hull(tmp_path, capsys):
-    # the hull of the summed samples is the one the convexity gate builds,
-    # a resampled file's samples included
+    # the hull of the summed samples is the one the convexity gate builds
     code, rep = cli_json(capsys, "volume", "saddle", "--n", "2000")
     assert code == 0
     assert rep["discrete_gap"] < 1e-13
     code, rep = cli_json(capsys, "volume", "wobble:k=3", "--force")
     assert code == 0
     assert rep["discrete_gap"] == pytest.approx(0.088, abs=1e-3)
-    path = saddle_file(tmp_path, 400)
-    for resample in ((), ("--n", "600")):
-        code, rep = cli_json(capsys, "volume", path, *resample)
-        assert code == 0
-        assert rep["discrete_gap"] < 1e-13
+    code, rep = cli_json(capsys, "volume", saddle_file(tmp_path, 400))
+    assert code == 0
+    assert rep["discrete_gap"] < 1e-13
 
 
 def test_polyline_oracle_is_the_one_hull_of_its_points(tmp_path, monkeypatch, capsys):
@@ -367,9 +364,6 @@ def test_volume_from_polyline_file(tmp_path, capsys):
     assert code == 0
     assert rep["n"] == 400
     assert rep["vertex_report"]["vertex_count"] == 4
-    code, rep2 = cli_json(capsys, "volume", path, "--n", "600")
-    assert code == 0
-    assert rep2["n"] == 600
 
 
 def test_unknown_curve_is_a_usage_error(capsys):
@@ -493,8 +487,10 @@ def test_converge_checks_every_n_before_the_gates_and_oracle(monkeypatch, capsys
         (("volume", "saddle", "--n", "2000"), "planarity_check", [2000, 2000]),
         # each row sampled once, then the oracle's samples
         (("converge", "baseball", "--ns", "125,250"), "sample_uniform", [125, 250, 10_000]),
+        # the one inside is_convex_curve, which builds both the gate's and the probes' hull
+        (("diagnose", "saddle", "--n", "500", "--probes", "5"), "planarity_check", [500]),
     ],
-    ids=["volume-planarity", "converge-sampling"],
+    ids=["volume-planarity", "converge-sampling", "diagnose-planarity"],
 )
 def test_planarity_and_sampling_call_counts(argv, function, args, monkeypatch, capsys):
     original = getattr(curvehull.curves, function)
@@ -510,6 +506,67 @@ def test_planarity_and_sampling_call_counts(argv, function, args, monkeypatch, c
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert sorted(seen) == args
+
+
+def test_converge_on_a_file_reads_strides_of_its_points(tmp_path, monkeypatch, capsys):
+    # rows are every k-th point for k = 16, 8, 4, 2, 1 with no interpolation,
+    # one hull each, and the k = 1 row's hull is the reference: none is built for it
+    path = saddle_file(tmp_path, 400)
+    original = curvehull.curves.is_convex_curve
+    built = []
+
+    def counted(curve):
+        built.append(curve.n)
+        return original(curve)
+
+    for module in (curvehull.curves, cli):
+        monkeypatch.setattr(module, "is_convex_curve", counted)
+    code, rep = cli_json(capsys, "converge", path, "--json")
+    assert code == 0
+    assert sorted(built) == [25, 50, 100, 200, 400]
+    assert [row["n"] for row in rep["rows"]] == [25, 50, 100, 200, 400]
+    gaps = [row["relative_gap"] for row in rep["rows"]]
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 1e-13
+    points = load_polyline(path).points
+    assert rep["rows"][0]["formula_volume"] == curvehull.hull_volume(
+        curvehull.SampledCurve.from_points(points[::16])
+    ).volume
+    assert rep["rows"][0]["oracle_volume"] == curvehull.mesh_volume(
+        curvehull.build_hull(points)
+    )
+    assert rep["oracle_samples"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("volume", "{saddle}", "--n", "600"),
+        ("diagnose", "{saddle}", "--probes", "5", "--n", "600"),
+        ("area", "{circle}", "--n", "600"),
+        ("export-mesh", "{saddle}", "hull.obj", "--n", "600"),
+        ("converge", "{saddle}", "--ns", "200,400"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_file_ignores_the_sample_count_flags(argv, tmp_path, monkeypatch, capsys):
+    # a file is taken as it is: --n and --ns leave stdout and the OBJ as they
+    # are without the flag, and one note on stderr says so
+    monkeypatch.chdir(tmp_path)
+    t = np.arange(200) * (2 * np.pi / 200)
+    circle = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    files = {"saddle": saddle_file(tmp_path, 400), "circle": write_polyline(tmp_path / "c", circle)}
+    argv = [arg.format(**files) for arg in argv]
+    obj = tmp_path / "hull.obj"
+    runs = []
+    for args in (argv[:-2], argv):
+        code, out, err = run_cli(capsys, *args)
+        runs.append((code, out, obj.read_bytes() if obj.exists() else None))
+        obj.unlink(missing_ok=True)
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+    notes = [line for line in err.splitlines() if line.startswith("# note:")]
+    assert notes == [f"# note: {argv[-2]} is ignored for a polyline file, taken as it is"]
 
 
 def test_converge_planar_curve_rejected(capsys):
@@ -676,18 +733,16 @@ def test_diagnose_reads_support_patches_at_the_vertex_stride(
 
 @pytest.mark.parametrize("decimals", [6, 17])
 def test_diagnose_reads_support_patches_on_the_file_points_under_n(decimals, tmp_path, capsys):
-    # V is counted on the file's points, so P is too, at stride 1 (the
-    # exact file) as at k > 1 (6 decimals): --n resamples only the sum
+    # a file is taken as it is, so --n changes nothing: V and P are read on
+    # the file's own points, at stride 1 (the exact file) as at k > 1 (6 decimals)
     t = np.arange(1000) * (2 * np.pi / 1000)
     path = tmp_path / "wobble.txt"
     points = curvehull.gallery.get("wobble:k=3").curve(t) + [0.41, -0.63, 0.27]
     np.savetxt(path, points, fmt=f"%.{decimals}g" if decimals > 6 else "%.6f")
     _, own = cli_json(capsys, "diagnose", str(path), "--probes", "5")
-    code, resampled = cli_json(capsys, "diagnose", str(path), "--n", "150", "--probes", "5")
-    assert code == 0 and resampled["n"] == 150
+    code, under_n = cli_json(capsys, "diagnose", str(path), "--n", "150", "--probes", "5")
+    assert code == 0 and under_n == own and own["n"] == 1000
     assert (own["vertex_report"]["stride"] > 1) == (decimals == 6)
-    for key in ("vertex_report", "support_polygons", "inequality"):
-        assert resampled[key] == own[key]
     assert own["support_polygons"]["count"] == 2
 
 

@@ -15,7 +15,6 @@ from curvehull import (
     frenet_profile,
     gallery,
     is_convex_curve,
-    piecewise_linear,
     planarity_check,
     sample_uniform,
     signed_distance,
@@ -93,24 +92,6 @@ def test_open_curve_rejected_by_sampler():
 def test_sampler_needs_at_least_four_points(saddle_curve):
     with pytest.raises(ValueError):
         sample_uniform(saddle_curve, 3)
-
-
-def test_resampling_equal_chord_loop_is_exact():
-    # a uniformly sampled circle has equal chords, so resampling its polyline
-    # at the same n lands back on the vertices to roundoff
-    circle = gallery.get("ellipse:a=1,b=1").curve
-    sc = sample_uniform(circle, 256)
-    again = sample_uniform(piecewise_linear(sc), 256)
-    assert np.allclose(again.points, sc.points, atol=1e-9)
-
-
-def test_resampling_uniform_loop_is_nearly_idempotent(saddle_curve):
-    # arc-uniform samples of a curved loop are only chord-uniform to O(h^2),
-    # so one resampling round trip moves points by ~4e-5 at n = 256, not zero
-    sc = sample_uniform(saddle_curve, 256)
-    again = sample_uniform(piecewise_linear(sc), 256)
-    assert np.allclose(again.points, sc.points, atol=5e-4)
-    assert not np.allclose(again.points, sc.points, atol=1e-9)
 
 
 def test_from_points_rejects_degenerate_input():
