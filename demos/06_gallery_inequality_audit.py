@@ -30,7 +30,7 @@ for spec in ("saddle", "baseball", "wobble:k=3", "wobble:k=5", "ellipse", "trefo
         print(f"{spec:12s}  not convex: inequality preconditions fail")
         continue
     vrep = count_vertices(frenet_profile(entry.curve, 4096))
-    srep = support_polygons(convexity.hull)
+    srep = support_polygons(convexity)
     rep = four_vertex_inequality_report(vrep.vertex_count, srep.count)
     print(f"{spec:12s} {rep.vertex_count:2d}   {rep.support_count:2d}  {rep.slack:5d}  "
           f"{rep.satisfied}")

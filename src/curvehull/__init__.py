@@ -12,7 +12,6 @@ diagnostics for the chord-covering structure.
 
 from .curves import (
     AnalyticCurve,
-    ConvexityResult,
     FrenetProfile,
     PlanarityResult,
     SampledCurve,
@@ -65,7 +64,6 @@ __all__ = [
     "FrenetProfile",
     "VertexReport",
     "PlanarityResult",
-    "ConvexityResult",
     "sample_uniform",
     "frenet_profile",
     "discrete_frenet_profile",

@@ -36,12 +36,11 @@ from .curves import (
     sample_uniform,
 )
 from .errors import GateError
-from .quadrature import discrete_vertex_report, hull_volume, planar_area_integral
+from .quadrature import MIN_STRIDE_POINTS, discrete_vertex_report, hull_volume, planar_area_integral
 
 ORACLE_SAMPLES = 10_000    # --verify and converge oracle size; even, as it also hulls every other
 DEFAULT_NS = "125,250,500,1000,2000"  # converge's sample counts for a gallery curve
 FILE_STRIDES = (16, 8, 4, 2, 1)  # converge's rows for a file: every k-th of its points
-MIN_STRIDE_POINTS = 16     # fewest points a converge row of a file keeps at k > 1
 _THREADS_HELP = "accepted for compatibility; changes neither the result nor the work"
 
 
@@ -101,7 +100,7 @@ def load_polyline(path) -> SampledCurve:
     scale = float(np.max(np.abs(pts))) or 1.0
     if len(pts) > 1 and np.linalg.norm(pts[-1] - pts[0]) <= COINCIDENT_RTOL * scale:
         pts = pts[:-1]  # tolerate an explicitly repeated first point
-    return SampledCurve.from_points(pts, name=os.path.basename(str(path)))
+    return SampledCurve.from_points(pts)
 
 
 def _note_ignored(flag: str) -> None:
@@ -114,8 +113,9 @@ class _ResolvedCurve:
     """A curve argument resolved to a gallery curve or a polyline file.
 
     Exactly one of curve (the gallery's AnalyticCurve) and file (the file's
-    own points) is set. A file's loop is always its own points; a gallery
-    curve's is its arc-length samples.
+    own points) is set, and name is the gallery name or the file's basename.
+    A file's loop is always its own points; a gallery curve's is its
+    arc-length samples.
     """
 
     def __init__(self, spec: str):
@@ -123,15 +123,16 @@ class _ResolvedCurve:
         looks_like_path = os.sep in spec or spec.endswith((".txt", ".xyz", ".poly"))
         if os.path.exists(spec) or looks_like_path:
             self.file = load_polyline(spec)
+            self.name = os.path.basename(spec)
         else:
             try:
-                self.curve = gallery.get(spec).curve
+                entry = gallery.get(spec)
             except KeyError:
                 raise KeyError(
                     f"{spec!r} is neither an existing polyline file nor a gallery "
                     f"curve (available: {', '.join(gallery.names())})"
                 ) from None
-        self.name = (self.curve if self.file is None else self.file).name
+            self.curve, self.name = entry.curve, entry.name
 
     def sample(self, n) -> SampledCurve:
         """The loop to work on: a file's own points, or n arc-length samples
@@ -142,13 +143,13 @@ class _ResolvedCurve:
             _note_ignored("--n")
         return self.file
 
-    def oracle_volume(self, convexity) -> float:
+    def oracle_volume(self, mesh) -> float:
         """Reference hull volume. A gallery curve gets the Richardson
         extrapolation of the hulls of ORACLE_SAMPLES samples and of every other
-        one. A polyline file gets the volume of convexity.hull, the hull its
-        convexity gate built on the file's own points."""
+        one. A polyline file gets the volume of mesh, the hull its convexity
+        gate built on the file's own points."""
         if self.file is not None:
-            return hull.mesh_volume(convexity.hull)
+            return hull.mesh_volume(mesh)
         return hull.richardson_volume(sample_uniform(self.curve, ORACLE_SAMPLES).points)
 
 
@@ -158,12 +159,12 @@ def cmd_volume(args, phase) -> int:
         samples = resolved.sample(args.n)
     with phase("volume"):
         result = hull_volume(samples, args.force, with_error_estimate=True)
-        gate_hull_volume = hull.mesh_volume(result.convexity.hull)
+        gate_hull_volume = hull.mesh_volume(result.hull)
         discrete_gap = abs(result.volume - gate_hull_volume) / gate_hull_volume
     oracle = gap = None
     if args.verify:
         with phase("oracle"):
-            oracle = resolved.oracle_volume(result.convexity)
+            oracle = resolved.oracle_volume(result.hull)
             gap = abs(result.volume - oracle) / oracle
 
     _emit(
@@ -219,7 +220,7 @@ def cmd_converge(args, phase) -> int:
         # every k-th point, the file itself (k = 1) always among them
         points = resolved.file.points
         ladder = [
-            SampledCurve.from_points(points[::k], name=resolved.name)
+            SampledCurve.from_points(points[::k])
             for k in FILE_STRIDES
             if k == 1 or len(points[::k]) >= MIN_STRIDE_POINTS
         ]
@@ -229,7 +230,7 @@ def cmd_converge(args, phase) -> int:
         with phase(f"n={samples.n}"):
             results[samples.n] = hull_volume(samples, args.force)
     # a file's reference is the hull its own row's convexity gate built
-    oracle = resolved.oracle_volume(results[max(results)].convexity)
+    oracle = resolved.oracle_volume(results[max(results)].hull)
     volumes = [(s.n, results[s.n].volume) for s in ladder]
     rows = [(n, v, oracle, abs(v - oracle) / oracle) for n, v in volumes]
     columns = ("n", "formula_volume", "oracle_volume", "relative_gap")
@@ -254,23 +255,20 @@ def cmd_diagnose(args, phase) -> int:
     with phase("hull"):
         resolved = _ResolvedCurve(args.curve)
         samples = resolved.sample(args.n)
-        convexity = is_convex_curve(samples)  # the planarity gate first, as in hull_volume
+        mesh = is_convex_curve(samples)  # the planarity gate first, as in hull_volume
 
     with phase("structure"):
         vertex_report = discrete_vertex_report(samples)
         # P is read on the points V was counted on, at its stride: the noise it
         # thinned away would split their hull into spurious flat patches
         k = vertex_report.stride
-        if k == 1:
-            support = hull.support_polygons(convexity.hull)
-        else:
-            strided = SampledCurve.from_points(samples.points[::k])
-            support = hull.support_polygons(is_convex_curve(strided).hull)
-            for patch in support.patches:
-                patch.sample_ids = [k * i for i in patch.sample_ids]  # indices of samples
+        strided = mesh if k == 1 else is_convex_curve(SampledCurve.from_points(samples.points[::k]))
+        support = hull.support_polygons(strided)
+        for patch in support.patches:
+            patch.sample_ids = [k * i for i in patch.sample_ids]  # indices of samples
         # the inequality holds only for a loop on its own convex hull
         inequality = None
-        if convexity.is_convex:
+        if mesh.is_convex:
             inequality = hull.four_vertex_inequality_report(
                 vertex_report.vertex_count, support.count
             ).as_dict()
@@ -291,7 +289,7 @@ def cmd_diagnose(args, phase) -> int:
     # covering multiplicity over seeded random interior probes
     with phase("probes"):
         histogram, probes = quadrature.covering_histogram(
-            samples, convexity.hull, args.probes, args.seed
+            samples, mesh, args.probes, args.seed
         )
 
     _emit(
@@ -301,8 +299,8 @@ def cmd_diagnose(args, phase) -> int:
             "n": samples.n,
             "seed": args.seed,
             "vertex_report": vertex_report.as_dict(),
-            "convexity": convexity.is_convex,
-            "non_extreme_count": len(convexity.non_extreme),
+            "convexity": mesh.is_convex,
+            "non_extreme_count": len(mesh.buried),
             "support_polygons": support.as_dict(),
             "inequality": inequality,
             "pair_classification": classification,
@@ -315,7 +313,7 @@ def cmd_diagnose(args, phase) -> int:
 
 def cmd_export_mesh(args, phase) -> int:
     resolved = _ResolvedCurve(args.curve)
-    mesh = is_convex_curve(resolved.sample(args.n)).hull
+    mesh = is_convex_curve(resolved.sample(args.n))
     hull.save_obj(mesh, args.path)
     _emit(
         "export-mesh",

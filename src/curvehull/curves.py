@@ -62,7 +62,6 @@ class AnalyticCurve:
     d1: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d2: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d3: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = ""
 
     def __post_init__(self):
         if not (np.isfinite(self.period) and self.period > 0):
@@ -78,27 +77,20 @@ class AnalyticCurve:
 
 @dataclass(eq=False)
 class SampledCurve:
-    """A closed polygonal loop: n points plus cumulative chord lengths.
+    """A closed polygonal loop: n points and its total (chord) length.
 
-    arc_lengths has n + 1 entries: arc_lengths[0] == 0 and arc_lengths[n]
-    equals the total (chord) length. Edge i joins points[i] to
-    points[(i + 1) % n].
+    Edge i joins points[i] to points[(i + 1) % n].
     """
 
     points: np.ndarray
-    arc_lengths: np.ndarray
-    name: str = ""
+    total_length: float
 
     @property
     def n(self) -> int:
         return len(self.points)
 
-    @property
-    def total_length(self) -> float:
-        return float(self.arc_lengths[-1])
-
     @classmethod
-    def from_points(cls, points, name: str = "") -> "SampledCurve":
+    def from_points(cls, points) -> "SampledCurve":
         """Build a closed loop from raw points (implicitly closed, first after last)."""
         pts = as_point_array(points)
         if len(pts) < 3:
@@ -113,8 +105,8 @@ class SampledCurve:
                 "consecutive points coincide (zero-length edge)",
                 edge=int(np.argmin(seg)),
             )
-        arc = np.concatenate([[0.0], np.cumsum(seg)])
-        return cls(points=pts, arc_lengths=arc, name=name)
+        # the running sum's last entry, not seg.sum(): pairwise summation rounds differently
+        return cls(points=pts, total_length=float(np.cumsum(seg)[-1]))
 
 
 def sample_uniform(curve: AnalyticCurve, n: int) -> SampledCurve:
@@ -143,7 +135,7 @@ def sample_uniform(curve: AnalyticCurve, n: int) -> SampledCurve:
         )
     targets = np.arange(n) * (total / n)
     tt = np.interp(targets, cum, tf)
-    return SampledCurve.from_points(curve(tt), name=curve.name)
+    return SampledCurve.from_points(curve(tt))
 
 
 # ----------------------------------------------------------------------------
@@ -154,15 +146,13 @@ def sample_uniform(curve: AnalyticCurve, n: int) -> SampledCurve:
 class FrenetProfile:
     """Curvature and torsion sampled along a curve.
 
-    params holds the parameter (or arc length) of each sample; degenerate
-    marks samples where |r' x r''| was too small to define torsion (tau is
-    forced to 0 there).
+    params holds the parameter (or arc length) of each sample; tau is 0
+    where |r' x r''| was too small to define torsion.
     """
 
     params: np.ndarray
     kappa: np.ndarray
     tau: np.ndarray
-    degenerate: np.ndarray
 
     @property
     def n(self) -> int:
@@ -181,7 +171,7 @@ def _frenet_from_derivatives(params, v1, v2, v3) -> FrenetProfile:
     det = np.einsum("ij,ij->i", cr, v3)
     denom = np.where(degenerate, 1.0, cr_norm**2)
     tau = np.where(degenerate, 0.0, det / denom)
-    return FrenetProfile(params=params, kappa=kappa, tau=tau, degenerate=degenerate)
+    return FrenetProfile(params=params, kappa=kappa, tau=tau)
 
 
 def frenet_profile(curve: AnalyticCurve, n: int) -> FrenetProfile:
@@ -237,7 +227,6 @@ class VertexReport:
     is_planar: bool
     min_kappa: float
     max_abs_tau: float
-    degenerate_samples: int
 
 
 def count_vertices(profile: FrenetProfile) -> VertexReport:
@@ -277,7 +266,6 @@ def count_vertices(profile: FrenetProfile) -> VertexReport:
         is_planar=is_planar,
         min_kappa=float(np.min(profile.kappa)),
         max_abs_tau=max_tau,
-        degenerate_samples=int(np.sum(profile.degenerate)),
     )
 
 
@@ -351,48 +339,36 @@ def require_nonplanar(curve: SampledCurve) -> PlanarityResult:
     return flat
 
 
-@dataclass(eq=False)
-class ConvexityResult:
-    """The convexity check's answer, with the HullMesh of the samples it read."""
-
-    is_convex: bool
-    non_extreme: list
-    n: int
-    hull: object
-
-
-def is_convex_curve(curve: SampledCurve) -> ConvexityResult:
-    """Check that every sample is an extreme point of the hull of the samples.
+def is_convex_curve(curve: SampledCurve):
+    """The validated HullMesh of the samples, whose is_convex says whether
+    every sample is an extreme point of it.
 
     A sample that is not a hull vertex still counts as extreme if it lies
     within the hull tolerance of the boundary (collinear or coplanar runs);
-    only points buried strictly inside are flagged. A planar loop has no 3-d
-    hull and raises PlanarCurveError (require_nonplanar). The result carries
-    the HullMesh it read, so a caller needing the hull of the same samples
-    takes it from there.
+    only points buried strictly inside are flagged (HullMesh.buried). A
+    planar loop has no 3-d hull and raises PlanarCurveError
+    (require_nonplanar).
     """
     from . import hull as _hull  # local import: hull imports this module
 
     require_nonplanar(curve)
-    mesh = _hull.build_hull(curve.points)
-    buried = mesh.buried.tolist()
-    return ConvexityResult(is_convex=not buried, non_extreme=buried, n=curve.n, hull=mesh)
+    return _hull.build_hull(curve.points)
 
 
-def require_convex(curve: SampledCurve) -> ConvexityResult:
-    """Convexity gate of the volume formula: the check, unless it refuses.
+def require_convex(curve: SampledCurve):
+    """Convexity gate of the volume formula: the hull, unless it refuses.
 
     Raises NonConvexCurveError when some sample is buried inside the hull.
     """
-    conv = is_convex_curve(curve)
-    if not conv.is_convex:
-        shown = conv.non_extreme[:10]
+    mesh = is_convex_curve(curve)
+    if not mesh.is_convex:
+        shown = mesh.buried[:10].tolist()
         raise NonConvexCurveError(
-            f"{len(conv.non_extreme)} of {conv.n} samples are not extreme points "
+            f"{len(mesh.buried)} of {curve.n} samples are not extreme points "
             f"of the hull (first indices: {shown}); the volume formula assumes a "
             "convex curve",
-            non_extreme_count=len(conv.non_extreme),
-            non_extreme_head=[int(i) for i in shown],
+            non_extreme_count=len(mesh.buried),
+            non_extreme_head=shown,
         )
-    return conv
+    return mesh
 

@@ -51,7 +51,7 @@ class GalleryEntry:
         return f"{self.name}:{args}"
 
 
-def _fourier(name: str, x_terms, y_terms, z_terms) -> AnalyticCurve:
+def _fourier(x_terms, y_terms, z_terms) -> AnalyticCurve:
     """A closed curve whose x, y and z are trigonometric polynomials.
 
     Each axis is a list of terms (k, c, s), ascending in k, each meaning
@@ -82,7 +82,7 @@ def _fourier(name: str, x_terms, y_terms, z_terms) -> AnalyticCurve:
         return evaluate
 
     position, d1, d2, d3 = (derivative(m) for m in range(4))
-    return AnalyticCurve(position, TWO_PI, d1, d2, d3, name=name)
+    return AnalyticCurve(position, TWO_PI, d1, d2, d3)
 
 
 _BASEBALL = {"a": 1.0, "b": 0.15, "c": 0.7}
@@ -171,7 +171,7 @@ def get(spec: str) -> GalleryEntry:
     x, y, z, vertex_count, convex = terms(**params)
     return GalleryEntry(
         name=base,
-        curve=_fourier(base, x, y, z),
+        curve=_fourier(x, y, z),
         params=params,
         expected_vertex_count=vertex_count,
         expected_convex=convex,

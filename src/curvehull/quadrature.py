@@ -22,7 +22,6 @@ import numpy as np
 
 from . import hull as _hull
 from .curves import (
-    ConvexityResult,
     PlanarityResult,
     SampledCurve,
     as_point_array,
@@ -36,7 +35,7 @@ from .errors import NonPlanarCurveError
 COVERING_MULTIPLICITY = 4  # the paper's divisor: chords cover the hull 4 times
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
 PROBE_SCALE = 0.85        # probes shrink toward the fan apex, clearing the boundary samples
-_PLATEAU_MIN_POINTS = 16  # shortest stride loop the vertex count is compared on
+MIN_STRIDE_POINTS = 16    # fewest points a stride loop keeps: vertex count and converge rows
 _CHUNK_ROWS = 128         # row block size for the double sum and tetrahedron count
 _SCREEN_SLACK = 1e-9      # rounding allowance of the angular tetrahedron screen
 _FACE_RTOL = 8 * np.finfo(np.float64).eps  # face-sign rounding bound vs |q_e||q_e+1||q_a|
@@ -81,9 +80,10 @@ def discrete_vertex_report(curve: SampledCurve) -> DiscreteVertexReport:
     dropped. The count is made on every k-th point for k = 1, 2, 4, ... up
     to the first k whose count equals the count at 2k: noise flips the
     signs of the small V_{i,i+2} of close points, and thinning grows them
-    past it. If the stride-2k loop would keep fewer than _PLATEAU_MIN_POINTS
-    points first, no count is confirmed and the stride-1 count is reported.
-    Exact samples of a smooth curve settle at k = 1.
+    past it. If the stride-2k loop would keep fewer than MIN_STRIDE_POINTS
+    points, or its band is all exact zeros (a loop whose off-plane points
+    the stride skips), no count is confirmed and the stride-1 count is
+    reported. Exact samples of a smooth curve settle at k = 1.
     """
 
     def sign_changes(points):
@@ -91,11 +91,13 @@ def discrete_vertex_report(curve: SampledCurve) -> DiscreteVertexReport:
         a, bt = _tetra_factors(points, i, (i + 2) % len(points))
         sign = np.sign(np.einsum("ij,ji->i", a, bt))
         sign = sign[sign != 0]
-        return int(np.count_nonzero(sign != np.roll(sign, 1)))
+        return int(np.count_nonzero(sign != np.roll(sign, 1))) if len(sign) else None
 
-    counts, k = [sign_changes(curve.points)], 1
-    while len(curve.points[:: 2 * k]) >= _PLATEAU_MIN_POINTS:
-        counts.append(sign_changes(curve.points[:: 2 * k]))
+    counts, k = [sign_changes(curve.points) or 0], 1  # a flat loop changes sign 0 times
+    while len(curve.points[:: 2 * k]) >= MIN_STRIDE_POINTS:
+        if (count := sign_changes(curve.points[:: 2 * k])) is None:
+            break  # an all-zero band has no count
+        counts.append(count)
         if counts[-1] == counts[-2]:
             return DiscreteVertexReport(counts[-2], k, counts[-1])
         k *= 2
@@ -167,14 +169,14 @@ def _abs_double_sum(points: np.ndarray) -> float:
 @dataclass(eq=False)
 class VolumeResult:
     """The double sum's volume and the gate results it rests on; vertex_report
-    is None when force skipped it, and convexity.hull is the summed loop's hull."""
+    is None when force skipped it, and hull is the summed loop's validated hull."""
 
     volume: float
     n: int
     error_estimate: Optional[float]
     planarity: PlanarityResult
     vertex_report: Optional[DiscreteVertexReport]
-    convexity: ConvexityResult
+    hull: _hull.HullMesh
 
     def as_dict(self) -> dict:
         return {"volume": self.volume, "error_estimate": self.error_estimate}
@@ -197,13 +199,13 @@ def hull_volume(
     """
     flat = require_nonplanar(curve)
     vertex_report = None if force else require_vertex_count(discrete_vertex_report(curve))
-    convexity = require_convex(curve)
+    mesh = require_convex(curve)
     vol = _abs_double_sum(curve.points) / COVERING_MULTIPLICITY
     est = None
     if with_error_estimate and curve.n >= 8 and curve.n % 2 == 0:
         half = _abs_double_sum(curve.points[::2]) / COVERING_MULTIPLICITY
         est = abs(vol - half)
-    return VolumeResult(vol, curve.n, est, flat, vertex_report, convexity)
+    return VolumeResult(vol, curve.n, est, flat, vertex_report, mesh)
 
 
 # ----------------------------------------------------------------------------

@@ -214,6 +214,30 @@ def test_a_loop_the_planarity_gate_accepts_gets_a_hull(tmp_path, capsys):
     assert rep["error"]["gate"] == "planarity"
 
 
+def test_the_lifted_circle_reads_the_same_from_every_start(tmp_path, capsys):
+    # rolled by one point the lift sits at index 1, so the stride-2 and
+    # stride-4 loops lie exactly in z = 0 and their bands are all exact zeros.
+    # Such a band confirms no count, so every start reads the loop's own 4 at
+    # stride 1, where two counts of 0 once passed as a plateau and refused it
+    volumes, inequalities = [], []
+    for shift in range(4):
+        points = np.roll(lifted_circle_points(), shift, axis=0)
+        report = curvehull.quadrature.discrete_vertex_report(
+            curvehull.SampledCurve.from_points(points)
+        )
+        assert (report.vertex_count, report.stride) == (4, 1), shift
+        spec = write_polyline(tmp_path / f"circle{shift}.txt", points)
+        code, rep = cli_json(capsys, "volume", spec)
+        assert code == 0, rep
+        volumes.append(rep["formula_volume"]["volume"])
+        code, rep = cli_json(capsys, "diagnose", spec, "--probes", "5")
+        assert code == 0, rep
+        inequalities.append(rep["inequality"])
+    assert max(volumes) - min(volumes) <= 1e-15 * min(volumes)
+    assert volumes[0] == pytest.approx(np.pi * 1e-8 / 3, rel=1e-4)
+    assert inequalities == inequalities[:1] * 4
+
+
 def test_a_far_from_origin_file_is_refused_as_degenerate(tmp_path, capsys):
     # a 1e-3-sized saddle 5e5 from the origin, written to 6 decimals: qhull's
     # hull of the rounded points leaves a point 5.8e-11 outside it, beyond

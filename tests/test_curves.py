@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import lifted_flower_points
@@ -5,10 +7,12 @@ from conftest import lifted_flower_points
 from curvehull import (
     AnalyticCurve,
     DegenerateCurveError,
+    FrenetProfile,
     NotClosedError,
     PlanarCurveError,
     SampledCurve,
     VertexCountError,
+    VertexReport,
     build_hull,
     count_vertices,
     discrete_frenet_profile,
@@ -58,17 +62,28 @@ def test_circle_four_samples_land_on_axes():
 @pytest.mark.parametrize("spec,n", [("saddle", 125), ("saddle", 500), ("ellipse", 125)])
 def test_edge_lengths_nearly_uniform(spec, n):
     sc = sample_uniform(gallery.get(spec).curve, n)
-    lengths = np.diff(sc.arc_lengths)
+    lengths = np.linalg.norm(np.roll(sc.points, -1, axis=0) - sc.points, axis=1)
     target = sc.total_length / n
     assert np.max(np.abs(lengths - target)) <= 0.01 * target
 
 
 def test_arc_length_table_structure(saddle_curve):
+    # a loop stores its points and its length, the running chord sum's last
+    # entry to the bit, and nothing else
     sc = sample_uniform(saddle_curve, 333)
-    assert sc.arc_lengths[0] == 0.0
-    assert sc.arc_lengths[-1] == pytest.approx(sc.total_length)
-    assert np.all(np.diff(sc.arc_lengths) > 0)
-    assert len(sc.arc_lengths) == sc.n + 1
+    assert [f.name for f in dataclasses.fields(SampledCurve)] == ["points", "total_length"]
+    seg = np.linalg.norm(np.roll(sc.points, -1, axis=0) - sc.points, axis=1)
+    assert np.all(seg > 0)
+    assert sc.total_length == float(np.cumsum(seg)[-1])
+    assert type(sc.total_length) is float
+
+
+def test_curve_types_store_no_name_and_no_degenerate_mask():
+    # a curve's name lives with the gallery entry or the file that gave it,
+    # and the CLI reads it from there
+    for cls in (AnalyticCurve, FrenetProfile, VertexReport):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert not fields & {"name", "degenerate", "degenerate_samples"}, cls
 
 
 def test_saddle_length_matches_brute_force_chord_sum(saddle_curve):
@@ -129,7 +144,6 @@ def test_saddle_torsion_changes_sign_four_times(saddle_curve):
     rep = count_vertices(frenet_profile(saddle_curve, 100_000))
     assert rep.vertex_count == 4
     assert not rep.is_planar
-    assert rep.degenerate_samples == 0
 
 
 def test_saddle_sign_changes_sit_on_quarter_periods(saddle_curve):
@@ -190,22 +204,21 @@ def test_ellipse_planarity():
 
 def test_convexity_saddle():
     sc = sample_uniform(gallery.get("saddle").curve, 500)
-    res = is_convex_curve(sc)
-    assert res.is_convex
-    assert res.non_extreme == []
+    mesh = is_convex_curve(sc)
+    assert mesh.is_convex
+    assert mesh.buried.tolist() == []
 
 
 def test_convexity_trefoil():
     sc = sample_uniform(gallery.get("trefoil").curve, 500)
-    res = is_convex_curve(sc)
-    assert not res.is_convex
-    assert len(res.non_extreme) > 0
+    mesh = is_convex_curve(sc)
+    assert not mesh.is_convex
+    assert len(mesh.buried) > 0
 
 
 def test_convexity_non_extreme_matches_per_point_loop():
     sc = sample_uniform(gallery.get("trefoil").curve, 500)
-    res = is_convex_curve(sc)
-    mesh = res.hull
+    mesh = is_convex_curve(sc)
     assert np.array_equal(mesh.points, sc.points)
     vertices = set(int(v) for v in mesh.vertex_indices)
     expected = [
@@ -215,8 +228,6 @@ def test_convexity_non_extreme_matches_per_point_loop():
     ]
     assert expected
     assert mesh.buried.tolist() == expected
-    assert res.non_extreme == expected
-    assert all(type(i) is int for i in res.non_extreme)
 
 
 def test_convexity_plane_tests_each_non_vertex_sample_once(monkeypatch):
@@ -231,8 +242,7 @@ def test_convexity_plane_tests_each_non_vertex_sample_once(monkeypatch):
         return signed_distance(mesh, p)
 
     monkeypatch.setattr(hull_module, "signed_distance", counting)
-    res = is_convex_curve(sc)
-    assert res.non_extreme
+    assert not is_convex_curve(sc).is_convex
     assert sum(rows) == sc.n - n_vertices
 
 

@@ -43,3 +43,10 @@ def test_ci_workflow_runs_the_tier1_verify_command():
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())[1]
     runs = [step.get("run") for job in workflow["jobs"].values() for step in job["steps"]]
     assert command in runs
+
+
+def test_ci_jobs_have_a_time_limit():
+    # GitHub's default limit is 6 hours; tier-1 takes about a minute
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    assert all(job.get("timeout-minutes") == 15 for job in workflow["jobs"].values())

@@ -305,7 +305,7 @@ def test_count_on_a_buried_sample_is_the_count_beside_it():
     # q_k = 0, where no unit direction exists, every pair is tested and the
     # faces through r_k take their sign at p + eps D
     sc = sample_uniform(gallery.get("trefoil").curve, 300)
-    buried = is_convex_curve(sc).non_extreme
+    buried = is_convex_curve(sc).buried.tolist()
     assert len(buried) > 0
     counts = [estimate_covering_multiplicity(sc, sc.points[k]) for k in buried]
     beside = [

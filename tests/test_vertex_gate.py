@@ -2,6 +2,7 @@
 stride where they settle (quadrature.discrete_vertex_report)."""
 
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,22 @@ def as_tuple(report) -> tuple:
     return report.vertex_count, report.stride, report.count_at_double_stride
 
 
+def convex_polygon(name, n, sigma, seed) -> tuple:
+    """A noisy gallery polygon in convex position, and its hull: every point
+    a hull vertex and every edge a hull edge (other draws are rejected). The
+    noise is sigma times the squared mean edge length, the scale of a
+    vertex's distance from its neighbours' chord, so that draws of 64 points
+    still often stay in convex position."""
+    base = samples(name, n)
+    noise = np.random.default_rng(seed).standard_normal((n, 3))
+    points = base.points + sigma * (base.total_length / n) ** 2 * noise
+    mesh = build_hull(points)
+    edges = {frozenset((f[a], f[a - 1])) for f in mesh.facets.tolist() for a in range(3)}
+    assume(mesh.n_vertices == n and mesh.is_convex)
+    assume(all(frozenset((i, (i + 1) % n)) in edges for i in range(n)))
+    return points, mesh
+
+
 @given(
     name=st.sampled_from(sorted(EXPECTED)),
     n=st.integers(12, 64),
@@ -68,24 +85,52 @@ def as_tuple(report) -> tuple:
 def test_formula_is_the_polygon_hull_exactly_when_the_band_changes_sign_four_times(
     name, n, sigma, seed
 ):
-    # the discrete form of the paper's theorem, on polygons in convex
-    # position: every point a hull vertex and every edge a hull edge. The
-    # noise is sigma times the squared mean edge length, the scale of a
-    # vertex's distance from its neighbours' chord, so that draws of 64
-    # points still often stay in convex position
-    base = samples(name, n)
-    noise = np.random.default_rng(seed).standard_normal((n, 3))
-    points = base.points + sigma * (base.total_length / n) ** 2 * noise
-    mesh = build_hull(points)
-    edges = {frozenset((f[a], f[a - 1])) for f in mesh.facets.tolist() for a in range(3)}
-    assume(mesh.n_vertices == n and len(mesh.buried) == 0)
-    assume(all(frozenset((i, (i + 1) % n)) in edges for i in range(n)))
+    # the discrete form of the paper's theorem, in floating point
+    points, mesh = convex_polygon(name, n, sigma, seed)
     loop = SampledCurve.from_points(points)
     hull = mesh_volume(mesh)
     exact = abs(hull_volume(loop, force=True).volume - hull) <= 1e-12 * hull
     report = discrete_vertex_report(loop)
     event("exact" if exact else "not exact")
     assert exact == (report.vertex_count == 4 and report.stride == 1), as_tuple(report)
+
+
+def det(a, b, c):
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def minus(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+@given(
+    name=st.sampled_from(sorted(EXPECTED)),
+    n=st.integers(12, 20),
+    sigma=st.sampled_from([0.02, 0.05, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_discrete_theorem_holds_exactly_in_rational_arithmetic(name, n, sigma, seed):
+    # the same polygons, their float coordinates read as exact rationals:
+    # (1/24) sum |[E_i, r_j - r_i, E_j]| equals the volume of the qhull facets
+    # exactly, with no rounding, when the exact band V_{i,i+2} changes sign
+    # 4 times, and differs from it otherwise. At n <= 20 the stride-2 loop
+    # is too short to count on, so the band is read at stride 1 only
+    points, mesh = convex_polygon(name, n, sigma, seed)
+    r = [[Fraction(x) for x in row] for row in points.tolist()]
+    e = [minus(r[(i + 1) % n], r[i]) for i in range(n)]
+    formula = sum(abs(det(e[i], minus(r[j], r[i]), e[j])) for i in range(n) for j in range(n))
+    fan = sum(det(r[a], r[b], r[c]) for a, b, c in mesh.facets.tolist())  # apex at the origin
+    band = [det(e[i], minus(r[(i + 2) % n], r[i]), minus(r[(i + 3) % n], r[i])) for i in range(n)]
+    sign = [v > 0 for v in band if v != 0]
+    changes = sum(a != b for a, b in zip(sign, sign[1:] + sign[:1]))
+    exact = formula / 24 == fan / 6
+    event("exact" if exact else "not exact")
+    assert exact == (changes == 4), changes
 
 
 @given(
@@ -128,7 +173,6 @@ def test_exact_gallery_samples_settle_at_stride_one(name, n):
 def _family(e, c, phi) -> AnalyticCurve:
     """((1 + e cos 2t) cos t, (1 + e cos 2t) sin t, c sin(2t + phi) + 0.2 c sin 3t)."""
     return _fourier(
-        "family",
         [(1, 1 + e / 2, 0), (3, e / 2, 0)],
         [(1, 0, 1 - e / 2), (3, 0, e / 2)],
         [(2, c * np.sin(phi), c * np.cos(phi)), (3, 0, 0.2 * c)],
@@ -155,10 +199,10 @@ def test_convex_curves_with_six_or_eight_torsion_sign_changes_are_refused(
     assert count_vertices(frenet_profile(curve, 8192)).vertex_count == torsion
     for n in ns:
         loop = sample_uniform(curve, n)
-        convexity = is_convex_curve(loop)
-        assert convexity.is_convex
+        mesh = is_convex_curve(loop)
+        assert mesh.is_convex
         with pytest.raises(VertexCountError) as info:
             hull_volume(loop)
         assert info.value.details["vertex_count"] == torsion
-        hull = mesh_volume(convexity.hull)
+        hull = mesh_volume(mesh)
         assert abs(hull_volume(loop, force=True).volume - hull) > miss * hull
