@@ -20,7 +20,7 @@ mesh = build_hull(sc.points)
 
 # every pair (i, j) in one grid; j in {i, i+1} spans no triangle
 idx = np.arange(n)
-labels = classify_pairs(sc, idx, idx)[0]
+labels = classify_pairs(sc, idx, idx)
 pair = (idx[None, :] != idx[:, None]) & (idx[None, :] != (idx[:, None] + 1) % n)
 counts = {k: int(np.count_nonzero(labels[pair] == k))
           for k in ("interior", "boundary", "degenerate")}

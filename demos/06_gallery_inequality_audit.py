@@ -11,7 +11,7 @@ row: its two flat caps push P to 2 and the inequality closes to an equality.
 
 from curvehull import (
     count_vertices,
-    four_vertex_inequality_report,
+    four_vertex_slack,
     frenet_profile,
     gallery,
     is_convex_curve,
@@ -31,9 +31,8 @@ for spec in ("saddle", "baseball", "wobble:k=3", "wobble:k=5", "ellipse", "trefo
         continue
     vrep = count_vertices(frenet_profile(entry.curve, 4096))
     srep = support_polygons(convexity)
-    rep = four_vertex_inequality_report(vrep.vertex_count, srep.count)
-    print(f"{spec:12s} {rep.vertex_count:2d}   {rep.support_count:2d}  {rep.slack:5d}  "
-          f"{rep.satisfied}")
+    slack = four_vertex_slack(vrep.vertex_count, srep.count)
+    print(f"{spec:12s} {vrep.vertex_count:2d}   {srep.count:2d}  {slack:5d}  {slack >= 0}")
 
 print()
 print("wobble(3)'s patches are the planes z = +1 and z = -1, each resting on")

@@ -35,10 +35,9 @@ from .errors import (
 )
 from .hull import (
     HullMesh,
-    InequalityReport,
     SupportPolygonReport,
     build_hull,
-    four_vertex_inequality_report,
+    four_vertex_slack,
     mesh_volume,
     richardson_volume,
     save_obj,
@@ -72,13 +71,12 @@ __all__ = [
     "is_convex_curve",
     "HullMesh",
     "SupportPolygonReport",
-    "InequalityReport",
     "build_hull",
     "mesh_volume",
     "richardson_volume",
     "signed_distance",
     "support_polygons",
-    "four_vertex_inequality_report",
+    "four_vertex_slack",
     "save_obj",
     "VolumeResult",
     "tetra_volume_matrix",

@@ -46,7 +46,7 @@ _THREADS_HELP = "accepted for compatibility; changes neither the result nor the 
 
 def _emit(command: str, fields: dict) -> None:
     """Print one report: fields plus the schema version and command name."""
-    report = {"schema": 4, "command": command, **fields}
+    report = {"schema": 5, "command": command, **fields}
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -124,15 +124,14 @@ class _ResolvedCurve:
         if os.path.exists(spec) or looks_like_path:
             self.file = load_polyline(spec)
             self.name = os.path.basename(spec)
-        else:
-            try:
-                entry = gallery.get(spec)
-            except KeyError:
-                raise KeyError(
-                    f"{spec!r} is neither an existing polyline file nor a gallery "
-                    f"curve (available: {', '.join(gallery.names())})"
-                ) from None
+        elif spec.partition(":")[0].strip() in gallery.names():
+            entry = gallery.get(spec)  # its KeyError names a bad parameter
             self.curve, self.name = entry.curve, entry.name
+        else:
+            raise KeyError(
+                f"{spec!r} is neither an existing polyline file nor a gallery "
+                f"curve (available: {', '.join(gallery.names())})"
+            )
 
     def sample(self, n) -> SampledCurve:
         """The loop to work on: a file's own points, or n arc-length samples
@@ -178,7 +177,6 @@ def cmd_volume(args, phase) -> int:
             "formula_volume": result.as_dict(),
             "oracle_volume": oracle,
             "relative_gap": gap,
-            "unverified_hypothesis": args.force,
         },
     )
     return 0
@@ -267,22 +265,19 @@ def cmd_diagnose(args, phase) -> int:
         for patch in support.patches:
             patch.sample_ids = [k * i for i in patch.sample_ids]  # indices of samples
         # the inequality holds only for a loop on its own convex hull
-        inequality = None
+        slack = None
         if mesh.is_convex:
-            inequality = hull.four_vertex_inequality_report(
-                vertex_report.vertex_count, support.count
-            ).as_dict()
+            slack = hull.four_vertex_slack(vertex_report.vertex_count, support.count)
 
     # sign classification over a subsampled index grid
     with phase("classify"):
         n = samples.n
         stride = max(1, n // 64)
         grid = np.arange(0, n, stride)
-        labels = quadrature.classify_pairs(samples, grid, grid)[0]
+        labels = quadrature.classify_pairs(samples, grid, grid)
         labels = labels[grid[:, None] != grid[None, :]]  # off the diagonal
         classification = {
             "grid_stride": int(stride),
-            "pairs": int(labels.size),
             **{k: int((labels == k).sum()) for k in ("interior", "boundary", "degenerate")},
         }
 
@@ -299,10 +294,9 @@ def cmd_diagnose(args, phase) -> int:
             "n": samples.n,
             "seed": args.seed,
             "vertex_report": vertex_report.as_dict(),
-            "convexity": mesh.is_convex,
             "non_extreme_count": len(mesh.buried),
             "support_polygons": support.as_dict(),
-            "inequality": inequality,
+            "inequality_slack": slack,
             "pair_classification": classification,
             "multiplicity_histogram": {str(m): count for m, count in histogram.items()},
             "probes": probes,

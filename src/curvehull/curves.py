@@ -11,7 +11,7 @@ sample_uniform so that edges are nearly equal in arc length.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -280,7 +280,6 @@ def require_vertex_count(report):
             f"torsion changes sign {report.vertex_count} times, expected "
             f"{FOUR_VERTICES}; {_FORCE_HINT}",
             vertex_count=report.vertex_count,
-            expected=FOUR_VERTICES,
         )
     return report
 
@@ -291,12 +290,15 @@ def require_vertex_count(report):
 
 @dataclass(eq=False)
 class PlanarityResult:
+    """The plane deviation of a loop; as_dict leaves out is_planar, which
+    every report that prints the deviation would print with one value."""
+
     is_planar: bool
     max_deviation: float
     rel_deviation: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"max_deviation": self.max_deviation, "rel_deviation": self.rel_deviation}
 
 
 def plane_deviation(points: np.ndarray) -> float:
@@ -334,7 +336,6 @@ def require_nonplanar(curve: SampledCurve) -> PlanarityResult:
         raise PlanarCurveError(
             "curve is planar, its hull has zero volume; use the `area` command",
             rel_deviation=flat.rel_deviation,
-            suggestion="area",
         )
     return flat
 

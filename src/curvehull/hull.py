@@ -15,7 +15,7 @@ starts in about 0.2 s, one that does in about 0.65 s (2-vCPU VM).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,19 +223,22 @@ class SupportPatch:
 class SupportPolygonReport:
     """Coplanar hull patches supported by three mutually distant samples.
 
-    count is the number P of patches whose touched samples contain a triple
-    with pairwise cyclic index distance above 2; those patches witness planes
-    tangent to the curve at three separated arcs. coplanar_groups counts all
-    multi-facet coplanar groups regardless of the distance rule.
+    patches are the P patches whose touched samples contain a triple with
+    pairwise cyclic index distance above 2; those patches witness planes
+    tangent to the curve at three separated arcs, and count is P.
+    coplanar_groups counts all multi-facet coplanar groups regardless of the
+    distance rule.
     """
 
-    count: int
     patches: list
     coplanar_groups: int
 
+    @property
+    def count(self) -> int:
+        return len(self.patches)
+
     def as_dict(self) -> dict:
         return {
-            "count": self.count,
             "coplanar_groups": self.coplanar_groups,
             "patch_sample_ids": [p.sample_ids for p in self.patches],
         }
@@ -295,7 +298,6 @@ def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
         )
     patches.sort(key=lambda patch: patch.sample_ids)
     return SupportPolygonReport(
-        count=len(patches),
         patches=patches,
         coplanar_groups=int(np.count_nonzero(np.bincount(label) > 1)),
     )
@@ -305,41 +307,20 @@ def support_polygons(mesh: HullMesh) -> SupportPolygonReport:
 # Vertex inequality bookkeeping
 
 
-@dataclass(eq=False)
-class InequalityReport:
-    """Check of V + 2K + 2d >= 4 + P for a sampled convex loop, with K = d = 0.
+def four_vertex_slack(vertex_count: int, support_count: int) -> int:
+    """The slack V + 2K + 2d - (4 + P) of V + 2K + 2d >= 4 + P, with K = d = 0.
 
-    V: torsion sign changes (vertex_count); P: support patches from
-    support_polygons (support_count). K, the kinks (corners with a tangent
-    jump), is 0 for the smooth curves handled here, and d, the planes
-    tangent along a whole arc, is taken as 0 for curves in general
-    position, so neither is a field. A loop lying along one tangent plane
-    breaks that: a circle of 400 points with one lifted by 1e-8 reads
-    V = 4, P = 2, slack -2, unsatisfied.
+    V is the torsion sign changes (vertex_count) and P the support patches
+    of support_polygons (support_count); the inequality holds when the slack
+    is nonnegative. K, the kinks (corners with a tangent jump), is 0 for the
+    smooth curves handled here, and d, the planes tangent along a whole arc,
+    is taken as 0 for curves in general position. A loop lying along one
+    tangent plane breaks that: a circle of 400 points with one lifted by
+    1e-8 reads V = 4, P = 2, slack -2. The inequality holds for a nonplanar
+    loop on its own convex hull; the caller checks planarity and convexity
+    before asking.
     """
-
-    vertex_count: int
-    support_count: int
-    satisfied: bool
-    slack: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def four_vertex_inequality_report(vertex_count: int, support_count: int) -> InequalityReport:
-    """Evaluate V + 2K + 2d - (4 + P) with K = d = 0; nonnegative slack means satisfied.
-
-    The inequality holds for a nonplanar loop on its own convex hull; the
-    caller checks planarity and convexity before asking.
-    """
-    slack = vertex_count - 4 - support_count
-    return InequalityReport(
-        vertex_count=vertex_count,
-        support_count=support_count,
-        satisfied=slack >= 0,
-        slack=slack,
-    )
+    return vertex_count - 4 - support_count
 
 
 # ----------------------------------------------------------------------------

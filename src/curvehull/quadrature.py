@@ -212,15 +212,15 @@ def hull_volume(
 # Sign classification of adjacent chord pairs
 
 
-def classify_pairs(curve: SampledCurve, rows, cols) -> tuple:
+def classify_pairs(curve: SampledCurve, rows, cols) -> np.ndarray:
     """Label the sign flip between V_ij and V_{i+1,j} for i in rows, j in cols.
 
-    Returns (labels, V_ij, V_{i+1,j}), each of shape (len(rows), len(cols)).
-    Equal signs label the pair "interior": the triangle
-    {r_{i+1}, r_j, r_{j+1}} is crossed twice or not at all. Opposite signs
-    label it "boundary": that triangle lies on the hull boundary. A volume
-    at or below DEGENERACY_RTOL * L^3 labels it "degenerate": no sign is
-    trusted. Both volume grids come from one tetra_volume_matrix call.
+    Returns the labels, shape (len(rows), len(cols)). Equal signs label the
+    pair "interior": the triangle {r_{i+1}, r_j, r_{j+1}} is crossed twice or
+    not at all. Opposite signs label it "boundary": that triangle lies on
+    the hull boundary. A volume at or below DEGENERACY_RTOL * L^3 labels it
+    "degenerate": no sign is trusted. Both volume grids come from one
+    tetra_volume_matrix call.
     """
     rows = np.asarray(rows)
     v = tetra_volume_matrix(curve, rows=np.concatenate([rows, (rows + 1) % curve.n]), cols=cols)
@@ -228,7 +228,7 @@ def classify_pairs(curve: SampledCurve, rows, cols) -> tuple:
     floor = DEGENERACY_RTOL * curve.total_length**3
     degenerate = (np.abs(v1) <= floor) | (np.abs(v2) <= floor)
     labels = np.where((v1 > 0) == (v2 > 0), "interior", "boundary")
-    return np.where(degenerate, "degenerate", labels), v1, v2
+    return np.where(degenerate, "degenerate", labels)
 
 
 # ----------------------------------------------------------------------------

@@ -67,12 +67,11 @@ def saddle_file(tmp_path, n):
 def test_volume_verified_run(saddle_oracle_volume, capsys):
     code, rep = cli_json(capsys, "volume", "saddle", "--n", "500", "--verify")
     assert code == 0
-    assert rep["schema"] == 4
+    assert rep["schema"] == 5
     assert rep["relative_gap"] < 1e-3
     # the two-hull oracle against the acceptance gate's 200k-point hull
     assert abs(rep["oracle_volume"] - saddle_oracle_volume) / saddle_oracle_volume < 2e-9
     assert rep["vertex_report"]["vertex_count"] == 4
-    assert rep["unverified_hypothesis"] is False
 
 
 @pytest.mark.parametrize(
@@ -146,8 +145,7 @@ def test_volume_vertex_gate_reports_count(capsys):
 def test_volume_force_marks_hypothesis_unverified(capsys):
     code, rep = cli_json(capsys, "volume", "wobble:k=3", "--n", "500", "--force")
     assert code == 0
-    assert rep["unverified_hypothesis"] is True
-    assert rep["vertex_report"] is None
+    assert rep["vertex_report"] is None  # the count --force skipped
 
 
 def test_volume_convexity_gate(capsys):
@@ -186,7 +184,7 @@ def test_every_hull_command_refuses_a_planar_loop_with_one_error(curve, tmp_path
         code, rep = cli_json(capsys, *argv, *n)
         assert code == 1, argv
         errors.append(rep["error"])
-    assert errors[0]["gate"] == "planarity" and errors[0]["suggestion"] == "area"
+    assert errors[0]["gate"] == "planarity" and "`area`" in errors[0]["message"]
     assert errors == errors[:1] * 3
     assert not obj.exists()
 
@@ -232,7 +230,7 @@ def test_the_lifted_circle_reads_the_same_from_every_start(tmp_path, capsys):
         volumes.append(rep["formula_volume"]["volume"])
         code, rep = cli_json(capsys, "diagnose", spec, "--probes", "5")
         assert code == 0, rep
-        inequalities.append(rep["inequality"])
+        inequalities.append(rep["inequality_slack"])
     assert max(volumes) - min(volumes) <= 1e-15 * min(volumes)
     assert volumes[0] == pytest.approx(np.pi * 1e-8 / 3, rel=1e-4)
     assert inequalities == inequalities[:1] * 4
@@ -394,6 +392,22 @@ def test_unknown_curve_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "volume", "nosuchcurve")
     assert code == 2
     assert "gallery" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("baseball:z=1", "bad parameter 'z=1' for 'baseball' (allowed: a, b, c)"),
+        ("saddle:a=1", "bad parameter 'a=1' for 'saddle' (allowed: none)"),
+    ],
+    ids=["baseball-z", "saddle-a"],
+)
+def test_unknown_gallery_parameter_keeps_the_gallery_message(spec, message, capsys):
+    # the curve is known, so the error names the parameter, not a missing file
+    code, out, err = run_cli(capsys, "volume", spec)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -624,16 +638,14 @@ def test_diagnose_saddle(capsys):
     )
     assert code == 0
     assert rep["vertex_report"]["vertex_count"] == 4
-    assert rep["convexity"] is True
-    assert rep["inequality"] == {
-        "vertex_count": 4,
-        "support_count": 0,
-        "satisfied": True,
-        "slack": 0,
-    }
+    assert rep["non_extreme_count"] == 0
+    assert rep["support_polygons"]["patch_sample_ids"] == []
+    assert rep["inequality_slack"] == 0
     assert rep["multiplicity_histogram"] == {"4": 25}
     cls = rep["pair_classification"]
-    assert cls["interior"] + cls["boundary"] + cls["degenerate"] == cls["pairs"]
+    # every off-diagonal pair of the grid of every 7th of 500 samples, 72 of them
+    assert cls["grid_stride"] == 7
+    assert cls["interior"] + cls["boundary"] + cls["degenerate"] == 72 * 71
     probes = rep["probes"]
     assert probes["evaluated"] == probes["requested"] == 25
 
@@ -645,10 +657,9 @@ def test_diagnose_wobble_inequality_is_tight(capsys):
         capsys, "diagnose", "wobble:k=3", "--n", "400", "--probes", "5"
     )
     assert code == 0
-    assert rep["inequality"]["vertex_count"] == 6
-    assert rep["inequality"]["support_count"] == 2
-    assert rep["inequality"]["slack"] == 0
-    assert rep["inequality"]["satisfied"] is True
+    assert rep["vertex_report"]["vertex_count"] == 6
+    assert len(rep["support_polygons"]["patch_sample_ids"]) == 2
+    assert rep["inequality_slack"] == 0
 
 
 @pytest.mark.parametrize(
@@ -660,13 +671,12 @@ def test_diagnose_prints_no_inequality_for_a_non_convex_loop(spec, n, convex, pa
     # trefoil buries samples, so its patches are listed but not audited
     code, rep = cli_json(capsys, "diagnose", spec, "--n", str(n), "--probes", "20")
     assert code == 0
-    assert rep["convexity"] is convex
-    assert rep["support_polygons"]["count"] == patches
+    assert (rep["non_extreme_count"] == 0) is convex
+    assert len(rep["support_polygons"]["patch_sample_ids"]) == patches
     if convex:
-        assert rep["inequality"]["support_count"] == patches
+        assert rep["inequality_slack"] == rep["vertex_report"]["vertex_count"] - 4 - patches
     else:
-        assert rep["non_extreme_count"] > 0
-        assert rep["inequality"] is None
+        assert rep["inequality_slack"] is None
 
 
 def test_diagnose_seed_changes_probe_stream(capsys):
@@ -728,8 +738,8 @@ def test_diagnose_lists_support_patches_by_smallest_sample(spec, n, count, capsy
     code, rep = cli_json(capsys, "diagnose", spec, "--n", str(n), "--probes", "5")
     assert code == 0
     patches = rep["support_polygons"]["patch_sample_ids"]
-    assert rep["support_polygons"]["count"] == rep["inequality"]["support_count"] == count
     assert len(patches) == count
+    assert rep["inequality_slack"] == rep["vertex_report"]["vertex_count"] - 4 - count
     assert patches == sorted(patches)
     assert all(ids == sorted(set(ids)) for ids in patches)
 
@@ -748,11 +758,9 @@ def test_diagnose_reads_support_patches_at_the_vertex_stride(
     k = rep["vertex_report"]["stride"]
     assert k > 1 and rep["vertex_report"]["vertex_count"] == vertices
     ids = rep["support_polygons"]["patch_sample_ids"]
-    assert rep["support_polygons"]["count"] == len(ids) == patches
+    assert len(ids) == patches
     assert all(i % k == 0 for patch in ids for i in patch)  # indices of the file's points
-    assert rep["inequality"] == {
-        "vertex_count": vertices, "support_count": patches, "satisfied": True, "slack": 0
-    }
+    assert rep["inequality_slack"] == 0  # vertices = 4 + patches
 
 
 @pytest.mark.parametrize("decimals", [6, 17])
@@ -767,7 +775,7 @@ def test_diagnose_reads_support_patches_on_the_file_points_under_n(decimals, tmp
     code, under_n = cli_json(capsys, "diagnose", str(path), "--n", "150", "--probes", "5")
     assert code == 0 and under_n == own and own["n"] == 1000
     assert (own["vertex_report"]["stride"] > 1) == (decimals == 6)
-    assert own["support_polygons"]["count"] == 2
+    assert len(own["support_polygons"]["patch_sample_ids"]) == 2
 
 
 # ---------------------------------------------------------------- export-mesh
@@ -947,11 +955,11 @@ def test_readme_lists_exactly_the_keys_of_each_report(tmp_path, capsys):
         code, rep = cli_json(capsys, *argv)
         assert code == 0, row
         assert set(rep) == set(re.findall(r"`(\w+)`", table[row])), row
-        assert rep["schema"] == 4, row
+        assert rep["schema"] == 5, row
     code, rep = cli_json(capsys, "volume", "ellipse")
     assert code == 1
     assert set(rep) == {"schema", "command", "error"}
-    assert rep["schema"] == 4
+    assert rep["schema"] == 5
 
 
 def test_gallery_list(capsys):

@@ -7,7 +7,8 @@ newlines, so that a diff of the golden file shows the lines that moved, and
 an OBJ file is pinned by its sha256.
 After a change that is meant to alter output, rewrite the golden file with
 `PYTHONPATH=src python tests/regenerate_golden.py`, which prints the argv of
-every command whose record it added, removed or changed.
+every command whose record it added, removed or changed, and under each
+changed one the paths of the record's fields it removed, added or changed.
 """
 
 import contextlib
@@ -16,7 +17,9 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +59,7 @@ COMMANDS = [
     ("volume", "saddle400.txt"),
     ("volume", "saddle400.txt", "--n", "600"),
     ("diagnose", "saddle400.txt", "--probes", "10"),
+    ("diagnose", "saddle400.txt", "--probes", "10", "--seed", "7"),
     ("converge", "saddle400.txt", "--ns", "200,400"),
     ("volume", "saddle_round6.txt"),
     ("diagnose", "saddle_round6.txt", "--probes", "10"),
@@ -67,6 +71,9 @@ COMMANDS = [
     ("volume", "nonconvex.txt", "--force"),
     ("volume", "square.txt"),
     ("area", "square.txt"),
+    # a planar ellipse turned out of every coordinate plane: a nonzero deviation
+    ("area", "tilted.txt"),
+    ("volume", "tilted.txt"),
     ("export-mesh", "cube.txt", "cube.obj"),
     ("volume", "circle.txt", "--force", "--verify"),
     ("diagnose", "circle.txt", "--probes", "5"),
@@ -88,6 +95,8 @@ def write_inputs(directory: Path) -> None:
     rz = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1]])
     rx = np.array([[1, 0, 0], [0, np.cos(b), -np.sin(b)], [0, np.sin(b), np.cos(b)]])
     far = np.array([0.3, -0.97, 0.54])
+    s = np.arange(100) * (2 * np.pi / 100)
+    ellipse = np.stack([2 * np.cos(s), np.sin(s), np.zeros(100)], axis=1)
     t = np.arange(500) * (2 * np.pi / 500)
     wobble3 = np.stack([np.cos(t), np.sin(t), np.sin(3 * t)], axis=1)
     files = {
@@ -99,6 +108,7 @@ def write_inputs(directory: Path) -> None:
         "wobble3.txt": (wobble3, "%.17g"),
         "nonconvex.txt": (buried_loop_points(), "%.17g"),
         "square.txt": ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], "%.17g"),
+        "tilted.txt": (ellipse @ (rx @ rz).T + [0.41, -0.63, 0.27], "%.17g"),
         "cube.txt": ([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], "%.17g"),
         "circle.txt": (lifted_circle_points(), "%.17g"),
         "far3.txt": (_saddle(3) * 1e-6 + 1e3 * far, "%.17g"),
@@ -121,14 +131,60 @@ def run(argv) -> dict:
     return record
 
 
+def nodes(value, path=""):
+    """(path, value) for a JSON value and for everything inside it, the value
+    itself first: keys joined by '.', list items as [i]."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from nodes(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from nodes(item, f"{path}[{i}]")
+
+
+def report(record):
+    """A record's stdout read as JSON, or None when it is not JSON."""
+    try:
+        return json.loads("\n".join(record["stdout"]))
+    except ValueError:
+        return None
+
+
+def fields(record) -> dict:
+    """A record's leaves as JSON text by path: exit, obj_sha256, and the
+    report's own paths, or stdout[i] for each line of stdout that is not JSON.
+    An empty list or object is a leaf."""
+    out = report(record)
+    whole = {"exit": record["exit"], "obj_sha256": record.get("obj_sha256"),
+             **({"stdout": record["stdout"]} if out is None else out)}
+    return {
+        path: json.dumps(value)
+        for path, value in nodes(whole)
+        if not (isinstance(value, (dict, list)) and value)
+    }
+
+
 def moved(old: list, new: list) -> list:
-    """One line per command whose record new adds, removes or changes against old."""
+    """One line per command whose record new adds, removes or changes against
+    old, each changed one followed by the paths of fields (see fields) that
+    it removed, added or changed in value."""
     was, now = ({tuple(r["argv"]): r for r in records} for records in (old, new))
     lines = []
     for argv in dict.fromkeys([*was, *now]):
         state = "removed" if argv not in now else "added" if argv not in was else "changed"
-        if was.get(argv) != now.get(argv):
-            lines.append(f"{state}: {' '.join(argv)}")
+        if was.get(argv) == now.get(argv):
+            continue
+        lines.append(f"{state}: {' '.join(argv)}")
+        if state == "changed":
+            before, after = fields(was[argv]), fields(now[argv])
+            for kind, paths in (
+                ("removed", [p for p in before if p not in after]),
+                ("added", [p for p in after if p not in before]),
+                ("changed", [p for p in before if p in after and before[p] != after[p]]),
+            ):
+                if paths:
+                    lines.append(f"  {kind}: {', '.join(paths)}")
     return lines
 
 
@@ -177,6 +233,84 @@ def test_cli_report_matches_golden(argv, inputs, golden, monkeypatch):
 
 
 def test_moved_names_each_added_removed_and_changed_command():
-    old = [{"argv": ["a"], "exit": 0}, {"argv": ["b"], "exit": 0}, {"argv": ["c"], "exit": 0}]
-    new = [{"argv": ["b"], "exit": 1}, {"argv": ["c"], "exit": 0}, {"argv": ["d", "-x"], "exit": 0}]
-    assert moved(old, new) == ["removed: a", "changed: b", "added: d -x"]
+    def record(argv, code, stdout):
+        return {"argv": argv, "exit": code, "stdout": stdout.split("\n")}
+
+    old = [
+        record(["a"], 0, ""),
+        record(["b"], 0, '{"k": 1, "gone": {"x": [1, 2]}, "same": true}'),
+        record(["c"], 0, "csv,head\n1,2"),
+        record(["e"], 0, "text"),
+    ]
+    new = [
+        record(["b"], 1, '{"k": 2, "new": [], "same": true}'),
+        record(["c"], 0, "csv,head\n1,3\n4,5"),
+        record(["d", "-x"], 0, ""),
+        record(["e"], 0, "text"),
+    ]
+    assert moved(old, new) == [
+        "removed: a",
+        "changed: b",
+        "  removed: gone.x[0], gone.x[1]",
+        "  added: new",
+        "  changed: exit, k",
+        "changed: c",
+        "  added: stdout[2]",
+        "  changed: stdout[1]",
+        "added: d -x",
+    ]
+    # true and 1 are equal in Python but not in JSON
+    assert moved([record(["f"], 0, '{"k": true}')], [record(["f"], 0, '{"k": 1}')]) == [
+        "changed: f",
+        "  changed: k",
+    ]
+
+
+# Report fields that may print one value in every golden record of a command,
+# each with its reason; a path stands for itself and every path below it.
+ONE_VALUE_ALLOWED = {
+    ("*", "schema"): "the version of the report format",
+    ("*", "command"): "the command's name",
+    ("*", "error.gate"): "the gate the refusals are grouped by",
+    ("volume", "error.message"): "the planarity gate's sentence holds no number",
+    **{
+        ("diagnose", f"probes.{counter}"): "always 0, kept because perfbench/run.py reads it"
+        for counter in ("rejected_outside", "rejected_near_boundary", "chord_failures")
+    },
+    ("volume", "vertex_report"): "null under --force and a count of 4 otherwise, printed "
+    "in the shape it has in diagnose, where it varies",
+}
+
+
+def test_every_field_a_command_prints_twice_takes_two_values(golden):
+    # a field printed with one value wherever its command (or gate, for a
+    # refusal) prints it states a constant of the program, not a fact about
+    # the input; list items share one path, so patch_sample_ids[] is one field
+    values = defaultdict(lambda: defaultdict(set))  # group -> path -> values
+    records = defaultdict(lambda: defaultdict(int))  # group -> path -> records
+    for record in golden.values():
+        out = report(record)
+        if out is None:
+            continue
+        group = (out["command"], out.get("error", {}).get("gate"))
+        paths = defaultdict(set)
+        for path, value in nodes(out):
+            paths[re.sub(r"\[\d+\]", "[]", path)].add(json.dumps(value, sort_keys=True))
+        for path, seen in paths.items():
+            values[group][path] |= seen
+            records[group][path] += 1
+
+    def allowed(command, path):
+        return any(
+            who in ("*", command) and (path == key or path.startswith((key + ".", key + "[")))
+            for who, key in ONE_VALUE_ALLOWED
+        )
+
+    constant = [
+        f"{command} ({gate or 'success'}): {path} = {''.join(values[command, gate][path])}"
+        for (command, gate), counts in records.items()
+        for path, count in counts.items()
+        if path and count >= 2 and len(values[command, gate][path]) < 2
+        and not allowed(command, path)
+    ]
+    assert not constant, "\n".join(constant)

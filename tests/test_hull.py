@@ -13,7 +13,7 @@ from curvehull import (
     PlanarCurveError,
     build_hull,
     count_vertices,
-    four_vertex_inequality_report,
+    four_vertex_slack,
     frenet_profile,
     gallery,
     mesh_volume,
@@ -335,7 +335,7 @@ def test_support_polygons_match_union_find_reference_on_snapped_clouds(pts):
     assert_matches_union_find_reference(mesh)
 
 
-# ---------------------------------------------------------------- inequality report
+# ---------------------------------------------------------------- inequality slack
 
 
 @pytest.mark.parametrize(
@@ -343,12 +343,9 @@ def test_support_polygons_match_union_find_reference_on_snapped_clouds(pts):
     [(4, 0, True, 0), (6, 0, True, 2), (4, 1, False, -1), (8, 2, True, 2)],
 )
 def test_inequality_arithmetic(v, p, satisfied, slack):
-    rep = four_vertex_inequality_report(vertex_count=v, support_count=p)
-    assert rep.satisfied is satisfied
-    assert rep.slack == slack
-    assert rep.as_dict() == {
-        "vertex_count": v, "support_count": p, "satisfied": satisfied, "slack": slack
-    }
+    got = four_vertex_slack(vertex_count=v, support_count=p)
+    assert got == slack
+    assert (got >= 0) is satisfied
 
 
 def test_inequality_takes_the_counts_of_both_reports():
@@ -356,20 +353,16 @@ def test_inequality_takes_the_counts_of_both_reports():
     vrep = count_vertices(frenet_profile(curve, 1024))
     sc = sample_uniform(curve, 300)
     srep = support_polygons(build_hull(sc.points))
-    rep = four_vertex_inequality_report(vrep.vertex_count, srep.count)
-    assert rep.vertex_count == 4
-    assert rep.support_count == srep.count
-    assert rep.slack == 4 - srep.count - 4
+    assert vrep.vertex_count == 4
+    assert four_vertex_slack(vrep.vertex_count, srep.count) == 4 - srep.count - 4
 
 
 def test_wobble_inequality_is_tight():
     curve = gallery.get("wobble:k=3").curve
     v = count_vertices(frenet_profile(curve, 2048)).vertex_count
     p = support_polygons(build_hull(sample_uniform(curve, 500).points)).count
-    rep = four_vertex_inequality_report(vertex_count=v, support_count=p)
-    assert (rep.vertex_count, rep.support_count) == (6, 2)
-    assert rep.satisfied is True
-    assert rep.slack == 0  # 6 + 0 = 4 + 2: equality, no room to spare
+    assert (v, p) == (6, 2)
+    assert four_vertex_slack(vertex_count=v, support_count=p) == 0  # 6 + 0 = 4 + 2: no room to spare
 
 
 # ---------------------------------------------------------------- OBJ export

@@ -166,7 +166,7 @@ def test_volume_rigid_motion_invariance(saddle_curve, rng):
 def test_adjacent_pair_labels_at_odd_resolution(saddle_curve):
     sc = sample_uniform(saddle_curve, 201)
     idx = np.arange(sc.n)
-    labels = classify_pairs(sc, idx, idx)[0]
+    labels = classify_pairs(sc, idx, idx)
     off_diag = idx[:, None] != idx[None, :]
     counts = {
         k: int((labels[off_diag] == k).sum()) for k in ("interior", "boundary", "degenerate")
@@ -185,7 +185,7 @@ def test_classification_flags_coplanar_flips_at_even_resolution(saddle_curve):
     # transition involves an exactly coplanar quadruple
     sc = sample_uniform(saddle_curve, 200)
     idx = np.arange(200)
-    labels = classify_pairs(sc, idx, idx)[0]
+    labels = classify_pairs(sc, idx, idx)
     boundary = int(((labels == "boundary") & (idx[:, None] != idx[None, :])).sum())
     assert boundary == 0
 
@@ -207,7 +207,10 @@ def test_classify_pairs_matches_per_pair_signs(name, n):
         return "interior" if (v1 > 0) == (v2 > 0) else "boundary"
 
     want = np.array([[label(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(ref, ref_next)])
-    labels, v_first, v_second = classify_pairs(sc, np.arange(n), np.arange(n))
+    labels = classify_pairs(sc, np.arange(n), np.arange(n))
+    # the two volume grids the labels are read from
+    v_first = tetra_volume_matrix(sc, np.arange(n), np.arange(n))
+    v_second = tetra_volume_matrix(sc, (np.arange(n) + 1) % n, np.arange(n))
     assert labels.shape == (n, n)
     assert np.argwhere(labels != want).tolist() == []
     assert np.max(np.abs(v_first - ref)) <= 1e-15
