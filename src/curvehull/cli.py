@@ -46,7 +46,7 @@ _THREADS_HELP = "accepted for compatibility; changes neither the result nor the 
 
 def _emit(command: str, fields: dict) -> None:
     """Print one report: fields plus the schema version and command name."""
-    report = {"schema": 5, "command": command, **fields}
+    report = {"schema": 6, "command": command, **fields}
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -257,29 +257,19 @@ def cmd_diagnose(args, phase) -> int:
 
     with phase("structure"):
         vertex_report = discrete_vertex_report(samples)
-        # P is read on the points V was counted on, at its stride: the noise it
-        # thinned away would split their hull into spurious flat patches
+        # P and the facet census are read on the points V was counted on, at
+        # its stride: the noise it thinned away would split their hull into
+        # spurious flat patches and discrete vertices
         k = vertex_report.stride
         strided = mesh if k == 1 else is_convex_curve(SampledCurve.from_points(samples.points[::k]))
         support = hull.support_polygons(strided)
+        census = dict(zip(("k0", "k1", "k2"), hull.facet_census(strided)))
         for patch in support.patches:
             patch.sample_ids = [k * i for i in patch.sample_ids]  # indices of samples
         # the inequality holds only for a loop on its own convex hull
         slack = None
         if mesh.is_convex:
             slack = hull.four_vertex_slack(vertex_report.vertex_count, support.count)
-
-    # sign classification over a subsampled index grid
-    with phase("classify"):
-        n = samples.n
-        stride = max(1, n // 64)
-        grid = np.arange(0, n, stride)
-        labels = quadrature.classify_pairs(samples, grid, grid)
-        labels = labels[grid[:, None] != grid[None, :]]  # off the diagonal
-        classification = {
-            "grid_stride": int(stride),
-            **{k: int((labels == k).sum()) for k in ("interior", "boundary", "degenerate")},
-        }
 
     # covering multiplicity over seeded random interior probes
     with phase("probes"):
@@ -297,7 +287,7 @@ def cmd_diagnose(args, phase) -> int:
             "non_extreme_count": len(mesh.buried),
             "support_polygons": support.as_dict(),
             "inequality_slack": slack,
-            "pair_classification": classification,
+            "facet_census": census,
             "multiplicity_histogram": {str(m): count for m, count in histogram.items()},
             "probes": probes,
         },

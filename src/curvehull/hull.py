@@ -122,6 +122,16 @@ def _edge_keys(mesh: HullMesh) -> np.ndarray:
     return e[:, 0] * len(mesh.points) + e[:, 1]
 
 
+def facet_census(mesh: HullMesh) -> tuple:
+    """(k0, k1, k2): the hull facets with 0, 1 and 2 polygon edges (a, b),
+    b - a = +-1 mod n, mesh.points being the loop in order. Every polygon
+    edge is a hull edge, on two facets, exactly when k1 + 2 k2 = 2n; then,
+    every sample a hull vertex, k2 - k0 = 4 (Euler)."""
+    step = (np.roll(mesh.facets, -1, axis=1) - mesh.facets) % len(mesh.points)
+    k = np.count_nonzero((step == 1) | (step == len(mesh.points) - 1), axis=1)
+    return tuple(int(c) for c in np.bincount(k, minlength=3))
+
+
 def _validate(mesh: HullMesh) -> np.ndarray:
     f = mesh.facets
     # one int64 key per undirected edge: a 1-d unique instead of a row-wise one

@@ -15,10 +15,12 @@ import pytest
 from conftest import buried_loop_points, lifted_circle_points, lifted_flower_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import write_inputs
 
 import curvehull
 import curvehull.cli as cli
 from curvehull.cli import load_polyline, main
+from curvehull.hull import facet_census
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -67,7 +69,7 @@ def saddle_file(tmp_path, n):
 def test_volume_verified_run(saddle_oracle_volume, capsys):
     code, rep = cli_json(capsys, "volume", "saddle", "--n", "500", "--verify")
     assert code == 0
-    assert rep["schema"] == 5
+    assert rep["schema"] == 6
     assert rep["relative_gap"] < 1e-3
     # the two-hull oracle against the acceptance gate's 200k-point hull
     assert abs(rep["oracle_volume"] - saddle_oracle_volume) / saddle_oracle_volume < 2e-9
@@ -642,12 +644,59 @@ def test_diagnose_saddle(capsys):
     assert rep["support_polygons"]["patch_sample_ids"] == []
     assert rep["inequality_slack"] == 0
     assert rep["multiplicity_histogram"] == {"4": 25}
-    cls = rep["pair_classification"]
-    # every off-diagonal pair of the grid of every 7th of 500 samples, 72 of them
-    assert cls["grid_stride"] == 7
-    assert cls["interior"] + cls["boundary"] + cls["degenerate"] == 72 * 71
+    # every polygon edge on the hull (k1 + 2 k2 = 2n), and k2 - k0 = 4
+    assert rep["facet_census"] == {"k0": 0, "k1": 992, "k2": 4}
     probes = rep["probes"]
     assert probes["evaluated"] == probes["requested"] == 25
+
+
+def census(rep) -> tuple:
+    return tuple(rep["facet_census"][k] for k in ("k0", "k1", "k2"))
+
+
+@pytest.mark.parametrize(
+    "spec, n, want",
+    [("saddle", n, (0, 2 * n - 8, 4)) for n in (200, 500, 1000)]
+    + [("wobble:k=5", n, (6, 2 * n - 20, 10)) for n in (400, 600, 1200)],
+)
+def test_diagnose_facet_census_of_gallery_loops(spec, n, want, capsys):
+    # k2 discrete vertices, k0 tritangent facets; every polygon edge is on
+    # the hull, so k1 + 2 k2 = 2n and k2 - k0 = 4
+    code, rep = cli_json(capsys, "diagnose", spec, "--n", str(n), "--probes", "1")
+    assert code == 0
+    assert census(rep) == want
+
+
+@pytest.mark.parametrize(
+    "name, want",
+    [("saddle400.txt", (0, 792, 4)), ("wobble3.txt", (2, 988, 6)), ("circle.txt", (1, 790, 5))],
+)
+def test_diagnose_facet_census_identities_hold_from_every_start(name, want, tmp_path, capsys):
+    # the lifted circle's flat face may be triangulated otherwise once the
+    # loop is rolled, which moves k0 and k2 but not their difference
+    write_inputs(tmp_path)
+    points = load_polyline(tmp_path / name).points
+    n = len(points)
+    for roll in (0, 1, 2):
+        spec = write_polyline(tmp_path / f"rolled{roll}.txt", np.roll(points, roll, axis=0))
+        code, rep = cli_json(capsys, "diagnose", spec, "--probes", "1")
+        assert code == 0
+        k0, k1, k2 = census(rep)
+        assert (k1 + 2 * k2, k2 - k0) == (2 * n, want[2] - want[0]), roll
+        if roll == 0:
+            assert (k0, k1, k2) == want
+
+
+def test_diagnose_reads_the_facet_census_at_the_vertex_stride(tmp_path, capsys):
+    # the hull of all 2000 rounded points reads 228 discrete vertices of
+    # noise; the hull of every 8th point, where the band settles, reads 4
+    write_inputs(tmp_path)
+    spec = str(tmp_path / "saddle_round6.txt")
+    code, rep = cli_json(capsys, "diagnose", spec, "--probes", "1")
+    assert code == 0
+    assert rep["vertex_report"]["stride"] == 8
+    assert census(rep) == (0, 492, 4)
+    assert facet_census(curvehull.is_convex_curve(load_polyline(spec))) == (224, 3544, 228)
 
 
 def test_diagnose_wobble_inequality_is_tight(capsys):
@@ -955,11 +1004,11 @@ def test_readme_lists_exactly_the_keys_of_each_report(tmp_path, capsys):
         code, rep = cli_json(capsys, *argv)
         assert code == 0, row
         assert set(rep) == set(re.findall(r"`(\w+)`", table[row])), row
-        assert rep["schema"] == 5, row
+        assert rep["schema"] == 6, row
     code, rep = cli_json(capsys, "volume", "ellipse")
     assert code == 1
     assert set(rep) == {"schema", "command", "error"}
-    assert rep["schema"] == 5
+    assert rep["schema"] == 6
 
 
 def test_gallery_list(capsys):
