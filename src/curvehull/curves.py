@@ -342,13 +342,16 @@ def require_nonplanar(curve: SampledCurve) -> PlanarityResult:
 
 def is_convex_curve(curve: SampledCurve):
     """The validated HullMesh of the samples, whose is_convex says whether
-    every sample is an extreme point of it.
+    every sample is an extreme point of it and every polygon edge lies in
+    its boundary.
 
     A sample that is not a hull vertex still counts as extreme if it lies
     within the hull tolerance of the boundary (collinear or coplanar runs);
     only points buried strictly inside are flagged (HullMesh.buried). A
-    planar loop has no 3-d hull and raises PlanarCurveError
-    (require_nonplanar).
+    polygon edge that is no hull edge is flagged when its midpoint lies
+    strictly inside (HullMesh.interior_edges): the edge then passes through
+    the hull, though both its ends may be hull vertices. A planar loop has
+    no 3-d hull and raises PlanarCurveError (require_nonplanar).
     """
     from . import hull as _hull  # local import: hull imports this module
 
@@ -359,17 +362,21 @@ def is_convex_curve(curve: SampledCurve):
 def require_convex(curve: SampledCurve):
     """Convexity gate of the volume formula: the hull, unless it refuses.
 
-    Raises NonConvexCurveError when some sample is buried inside the hull.
+    Raises NonConvexCurveError when some sample is buried inside the hull
+    or some polygon edge (i, i + 1) passes through it.
     """
     mesh = is_convex_curve(curve)
     if not mesh.is_convex:
-        shown = mesh.buried[:10].tolist()
+        shown, edges = mesh.buried[:10].tolist(), mesh.interior_edges[:10].tolist()
         raise NonConvexCurveError(
             f"{len(mesh.buried)} of {curve.n} samples are not extreme points "
-            f"of the hull (first indices: {shown}); the volume formula assumes a "
-            "convex curve",
+            f"of the hull (first indices: {shown}) and {len(mesh.interior_edges)} of "
+            f"{curve.n} polygon edges (i, i + 1) pass through it (first i: {edges}); "
+            "the volume formula assumes a convex curve",
             non_extreme_count=len(mesh.buried),
             non_extreme_head=shown,
+            interior_edge_count=len(mesh.interior_edges),
+            interior_edge_head=edges,
         )
     return mesh
 

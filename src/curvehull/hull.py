@@ -34,9 +34,12 @@ class HullMesh:
     that cross(b - a, c - a) points outward. normals/offsets describe the
     facet planes as normal . x + offset = 0 with normal outward, so the
     expression is negative inside. eps is the absolute containment
-    tolerance, HULL_EPS_RTOL times the bounding-box diagonal, and buried
-    the ascending indices of the points more than eps inside the hull, so
-    is_convex (nothing buried) is the convexity check's verdict.
+    tolerance, HULL_EPS_RTOL times the bounding-box diagonal. With points
+    read as a loop in order, buried holds the ascending indices of the
+    points more than eps inside the hull, and interior_edges those of the
+    polygon edges (i, i + 1 mod n) whose midpoint is, so is_convex (both
+    empty: every sample and every polygon edge on the boundary) is the
+    convexity check's verdict.
     """
 
     points: np.ndarray
@@ -46,6 +49,7 @@ class HullMesh:
     vertex_indices: np.ndarray
     eps: float
     buried: np.ndarray = None
+    interior_edges: np.ndarray = None
 
     @property
     def n_vertices(self) -> int:
@@ -57,7 +61,7 @@ class HullMesh:
 
     @property
     def is_convex(self) -> bool:
-        return len(self.buried) == 0
+        return len(self.buried) == 0 and len(self.interior_edges) == 0
 
 
 def bbox_diagonal(points: np.ndarray) -> float:
@@ -110,7 +114,7 @@ def build_hull(points) -> HullMesh:
         vertex_indices=ch.vertices.copy(),
         eps=HULL_EPS_RTOL * diag,
     )
-    mesh.buried = _validate(mesh)
+    mesh.buried, mesh.interior_edges = _validate(mesh)
     return mesh
 
 
@@ -122,17 +126,24 @@ def _edge_keys(mesh: HullMesh) -> np.ndarray:
     return e[:, 0] * len(mesh.points) + e[:, 1]
 
 
+def _polygon_edge_starts(mesh: HullMesh) -> np.ndarray:
+    """(n_facets, 3): for each facet edge (f[:, k], f[:, (k + 1) % 3]) that is
+    a polygon edge (a, b), b - a = +-1 mod n, the index i of that edge
+    (i, i + 1 mod n), and -1 for the others; mesh.points is the loop in order."""
+    f, n = mesh.facets, len(mesh.points)
+    g = np.roll(f, -1, axis=1)
+    return np.where((g - f) % n == 1, f, np.where((f - g) % n == 1, g, -1))
+
+
 def facet_census(mesh: HullMesh) -> tuple:
-    """(k0, k1, k2): the hull facets with 0, 1 and 2 polygon edges (a, b),
-    b - a = +-1 mod n, mesh.points being the loop in order. Every polygon
-    edge is a hull edge, on two facets, exactly when k1 + 2 k2 = 2n; then,
-    every sample a hull vertex, k2 - k0 = 4 (Euler)."""
-    step = (np.roll(mesh.facets, -1, axis=1) - mesh.facets) % len(mesh.points)
-    k = np.count_nonzero((step == 1) | (step == len(mesh.points) - 1), axis=1)
+    """(k0, k1, k2): the hull facets with 0, 1 and 2 polygon edges. Every
+    polygon edge is a hull edge, on two facets, exactly when k1 + 2 k2 = 2n;
+    then, every sample a hull vertex, k2 - k0 = 4 (Euler)."""
+    k = np.count_nonzero(_polygon_edge_starts(mesh) >= 0, axis=1)
     return tuple(int(c) for c in np.bincount(k, minlength=3))
 
 
-def _validate(mesh: HullMesh) -> np.ndarray:
+def _validate(mesh: HullMesh) -> tuple:
     f = mesh.facets
     # one int64 key per undirected edge: a 1-d unique instead of a row-wise one
     _, counts = np.unique(_edge_keys(mesh), return_counts=True)
@@ -153,7 +164,13 @@ def _validate(mesh: HullMesh) -> np.ndarray:
             depth=worst,
             eps=mesh.eps,
         )
-    return inner[depth < -mesh.eps]
+    # a polygon edge on no facet lies in the boundary (a coplanar or
+    # collinear run) exactly when its midpoint does; else it crosses the hull
+    n = len(mesh.points)
+    starts = _polygon_edge_starts(mesh)
+    off = np.flatnonzero(np.bincount(starts[starts >= 0], minlength=n) == 0)
+    middle = signed_distance(mesh, (mesh.points[off] + mesh.points[(off + 1) % n]) / 2.0)
+    return inner[depth < -mesh.eps], off[middle < -mesh.eps]
 
 
 def signed_distance(mesh: HullMesh, p) -> np.ndarray | float:

@@ -234,7 +234,8 @@ def test_convexity_plane_tests_each_non_vertex_sample_once(monkeypatch):
     import curvehull.hull as hull_module
 
     sc = sample_uniform(gallery.get("trefoil").curve, 500)
-    n_vertices = build_hull(sc.points).n_vertices
+    mesh = build_hull(sc.points)
+    _, k1, k2 = hull_module.facet_census(mesh)
     rows = []
 
     def counting(mesh, p):
@@ -243,7 +244,9 @@ def test_convexity_plane_tests_each_non_vertex_sample_once(monkeypatch):
 
     monkeypatch.setattr(hull_module, "signed_distance", counting)
     assert not is_convex_curve(sc).is_convex
-    assert sum(rows) == sc.n - n_vertices
+    # and the midpoint of each polygon edge on no facet once, a hull edge
+    # being on two facets
+    assert rows == [sc.n - mesh.n_vertices, sc.n - (k1 + 2 * k2) // 2]
 
 
 def test_convexity_with_a_prebuilt_hull_matches_on_a_nearly_planar_loop():

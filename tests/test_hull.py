@@ -24,7 +24,7 @@ from curvehull import (
     support_polygons,
 )
 from curvehull import errors
-from curvehull.hull import _COPLANAR_NORMAL_COS
+from curvehull.hull import _COPLANAR_NORMAL_COS, facet_census
 
 
 def unit_cube_points():
@@ -48,6 +48,25 @@ def test_cube_mesh_shape_and_volume():
     assert mesh.n_vertices == 8
     assert mesh.n_facets == 12
     assert mesh_volume(mesh) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_polygon_edges_through_the_hull_are_flagged_and_boundary_runs_are_not():
+    # read as a loop, the cube's corners in x, y, z order step along two
+    # space diagonals, edges 3 (011 to 100) and 7 (111 to 000); every other
+    # step runs along a cube edge or a face diagonal, in the boundary
+    mesh = build_hull(unit_cube_points())
+    assert mesh.buried.tolist() == []
+    assert mesh.interior_edges.tolist() == [3, 7]
+    assert not mesh.is_convex
+    # a tetrahedron with a sample inside one edge and one inside a face: the
+    # four polygon edges along that edge and across that face are on no
+    # facet, yet they lie in the boundary
+    loop = [[0, 0, 0], [0.5, 0, 0], [1, 0, 0], [0.4, 0.4, 0], [0, 1, 0], [0, 0, 1]]
+    mesh = build_hull(loop)
+    assert mesh.n_vertices == 4
+    assert facet_census(mesh) == (1, 2, 1)  # polygon edges 4 and 5 on two facets each
+    assert mesh.buried.tolist() == mesh.interior_edges.tolist() == []
+    assert mesh.is_convex
 
 
 def test_octahedron_volume():

@@ -2,6 +2,7 @@
 stride where they settle (quadrature.discrete_vertex_report)."""
 
 import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from curvehull import (
     AnalyticCurve,
+    GateError,
+    NonConvexCurveError,
     SampledCurve,
     VertexCountError,
     build_hull,
@@ -23,7 +26,9 @@ from curvehull import (
     mesh_volume,
     sample_uniform,
 )
+from curvehull.cli import main
 from curvehull.gallery import _fourier
+from curvehull.hull import facet_census
 from curvehull.quadrature import discrete_vertex_report
 
 EXPECTED = {"saddle": 4, "baseball": 4, "wobble:k=3": 6}
@@ -69,9 +74,9 @@ def convex_polygon(name, n, sigma, seed) -> tuple:
     noise = np.random.default_rng(seed).standard_normal((n, 3))
     points = base.points + sigma * (base.total_length / n) ** 2 * noise
     mesh = build_hull(points)
-    edges = {frozenset((f[a], f[a - 1])) for f in mesh.facets.tolist() for a in range(3)}
+    k0, k1, k2 = facet_census(mesh)
     assume(mesh.n_vertices == n and mesh.is_convex)
-    assume(all(frozenset((i, (i + 1) % n)) in edges for i in range(n)))
+    assume(k1 + 2 * k2 == 2 * n)  # a hull edge lies on two facets
     return points, mesh
 
 
@@ -87,6 +92,8 @@ def test_formula_is_the_polygon_hull_exactly_when_the_band_changes_sign_four_tim
 ):
     # the discrete form of the paper's theorem, in floating point
     points, mesh = convex_polygon(name, n, sigma, seed)
+    k0, _, k2 = facet_census(mesh)
+    assert k2 - k0 == 4  # Euler's formula on a polygon in convex position
     loop = SampledCurve.from_points(points)
     hull = mesh_volume(mesh)
     exact = abs(hull_volume(loop, force=True).volume - hull) <= 1e-12 * hull
@@ -121,6 +128,8 @@ def test_the_discrete_theorem_holds_exactly_in_rational_arithmetic(name, n, sigm
     # 4 times, and differs from it otherwise. At n <= 20 the stride-2 loop
     # is too short to count on, so the band is read at stride 1 only
     points, mesh = convex_polygon(name, n, sigma, seed)
+    k0, _, k2 = facet_census(mesh)
+    assert k2 - k0 == 4
     r = [[Fraction(x) for x in row] for row in points.tolist()]
     e = [minus(r[(i + 1) % n], r[i]) for i in range(n)]
     formula = sum(abs(det(e[i], minus(r[j], r[i]), e[j])) for i in range(n) for j in range(n))
@@ -170,12 +179,13 @@ def test_exact_gallery_samples_settle_at_stride_one(name, n):
     assert as_tuple(report) == (EXPECTED[name], 1, EXPECTED[name] if n >= 32 else None)
 
 
-def _family(e, c, phi) -> AnalyticCurve:
-    """((1 + e cos 2t) cos t, (1 + e cos 2t) sin t, c sin(2t + phi) + 0.2 c sin 3t)."""
+def _family(e, c, phi, w=1) -> AnalyticCurve:
+    """((1 + e cos 2t) cos t, (1 + e cos 2t) sin t,
+    c sin(2t + phi) + 0.2 c sin((2w + 1) t))."""
     return _fourier(
         [(1, 1 + e / 2, 0), (3, e / 2, 0)],
         [(1, 0, 1 - e / 2), (3, 0, e / 2)],
-        [(2, c * np.sin(phi), c * np.cos(phi)), (3, 0, 0.2 * c)],
+        [(2, c * np.sin(phi), c * np.cos(phi)), (2 * w + 1, 0, 0.2 * c)],
     )
 
 
@@ -206,3 +216,44 @@ def test_convex_curves_with_six_or_eight_torsion_sign_changes_are_refused(
         assert info.value.details["vertex_count"] == torsion
         hull = mesh_volume(mesh)
         assert abs(hull_volume(loop, force=True).volume - hull) > miss * hull
+
+
+def test_a_loop_with_a_polygon_edge_through_its_hull_is_refused(tmp_path, capsys):
+    # no sample is buried and the band reads 4 at stride 1, but edge (6, 7)
+    # passes through the hull, where the formula misses it by 4.0e-3
+    loop = sample_uniform(_family(0.2488, 0.5706, 5.5576), 24)
+    assert as_tuple(discrete_vertex_report(loop)) == (4, 1, None)
+    with pytest.raises(NonConvexCurveError) as info:
+        hull_volume(loop)
+    want = {"non_extreme_count": 0, "non_extreme_head": [],
+            "interior_edge_count": 1, "interior_edge_head": [6]}
+    assert info.value.details == want
+    path = tmp_path / "loop24.txt"
+    np.savetxt(path, loop.points, fmt="%.17g")
+    assert main(["volume", str(path)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"gate": "convexity", "message": str(info.value), **want}
+
+
+@given(
+    e=st.floats(0.0, 0.9),
+    c=st.floats(0.3, 1.0),
+    phi=st.floats(0.0, 2 * np.pi),
+    w=st.sampled_from([1, 2, 3]),
+    n=st.integers(16, 200),
+)
+@settings(max_examples=400, deadline=None)
+def test_a_loop_the_gates_accept_at_stride_one_is_summed_exactly(e, c, phi, w, n):
+    # the discrete theorem's three hypotheses, all gated: every sample and
+    # every polygon edge on the hull, and the band read 4 times at stride 1.
+    # A loop accepted at a larger stride may miss its hull by ~1e-8
+    loop = sample_uniform(_family(e, c, phi, w), n)
+    try:
+        result = hull_volume(loop)
+    except GateError as exc:
+        event(f"refused: {exc.gate}")
+        return
+    event(f"accepted at stride {result.vertex_report.stride}")
+    assume(result.vertex_report.stride == 1)
+    hull = mesh_volume(result.hull)
+    assert abs(result.volume - hull) <= 1e-12 * hull
