@@ -131,8 +131,10 @@ def _polygon_edge_starts(mesh: HullMesh) -> np.ndarray:
     a polygon edge (a, b), b - a = +-1 mod n, the index i of that edge
     (i, i + 1 mod n), and -1 for the others; mesh.points is the loop in order."""
     f, n = mesh.facets, len(mesh.points)
-    g = np.roll(f, -1, axis=1)
-    return np.where((g - f) % n == 1, f, np.where((f - g) % n == 1, g, -1))
+    g = f[:, [1, 2, 0]]
+    step = g - f
+    forward, backward = (step == 1) | (step == 1 - n), (step == -1) | (step == n - 1)
+    return np.where(forward, f, np.where(backward, g, -1))
 
 
 def facet_census(mesh: HullMesh) -> tuple:

@@ -635,10 +635,11 @@ def test_converge_json_mode(capsys):
 
 
 def test_diagnose_saddle(capsys):
-    code, rep = cli_json(
-        capsys, "diagnose", "saddle", "--n", "500", "--probes", "25"
-    )
+    code, out, err = run_cli(capsys, "diagnose", "saddle", "--n", "500", "--probes", "25")
     assert code == 0
+    rep = json.loads(out)
+    timing = json.loads(err.split("# timing_ms ", 1)[1])
+    assert set(timing) == {"hull", "structure", "probes"}
     assert rep["vertex_report"]["vertex_count"] == 4
     assert rep["non_extreme_count"] == 0
     assert rep["support_polygons"]["patch_sample_ids"] == []

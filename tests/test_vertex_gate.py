@@ -74,7 +74,7 @@ def convex_polygon(name, n, sigma, seed) -> tuple:
     noise = np.random.default_rng(seed).standard_normal((n, 3))
     points = base.points + sigma * (base.total_length / n) ** 2 * noise
     mesh = build_hull(points)
-    k0, k1, k2 = facet_census(mesh)
+    _, k1, k2 = facet_census(mesh)
     assume(mesh.n_vertices == n and mesh.is_convex)
     assume(k1 + 2 * k2 == 2 * n)  # a hull edge lies on two facets
     return points, mesh
