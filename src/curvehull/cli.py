@@ -32,11 +32,10 @@ from .curves import (
     COINCIDENT_RTOL,
     SampledCurve,
     is_convex_curve,
-    planarity_check,
     sample_uniform,
 )
 from .errors import GateError
-from .quadrature import MIN_STRIDE_POINTS, discrete_vertex_report, hull_volume, planar_area_integral
+from .quadrature import MIN_STRIDE_POINTS, discrete_vertex_report, hull_volume
 
 ORACLE_SAMPLES = 10_000    # --verify and converge oracle size; even, as it also hulls every other
 DEFAULT_NS = "125,250,500,1000,2000"  # converge's sample counts for a gallery curve
@@ -186,8 +185,7 @@ def cmd_area(args, phase) -> int:
     with phase("total"):
         resolved = _ResolvedCurve(args.curve)
         samples = resolved.sample(args.n)
-        area = planar_area_integral(samples)  # refuses a non-planar curve
-        flat = planarity_check(samples)
+        area, flat = quadrature._area_and_planarity(samples)  # refuses a non-planar curve
     _emit(
         "area",
         {

@@ -36,8 +36,10 @@ COVERING_MULTIPLICITY = 4  # the paper's divisor: chords cover the hull 4 times
 DEGENERACY_RTOL = 1e-14   # |V_ij| floor vs L^3 for sign classification
 PROBE_SCALE = 0.85        # probes shrink toward the fan apex, clearing the boundary samples
 MIN_STRIDE_POINTS = 16    # fewest points a stride loop keeps: vertex count and converge rows
-_CHUNK_ROWS = 128         # row block size for the double sum and tetrahedron count
+_CHUNK_ROWS = 128         # row block size of the double sum
 _SCREEN_SLACK = 1e-9      # rounding allowance of the angular tetrahedron screen
+_SCREEN_BLOCK = 24        # consecutive samples per cone of the screen
+_CONE_SLACK = 1e-6        # rad: arccos rounding allowance of a block's cone
 _FACE_RTOL = 8 * np.finfo(np.float64).eps  # face-sign rounding bound vs |q_e||q_e+1||q_a|
 _NUDGE = np.array([1.0, np.sqrt(2.0), np.pi])  # generic direction D that breaks face ties
 
@@ -129,40 +131,31 @@ def _tree_sum(parts) -> float:
     return vals[0]
 
 
-def _upper_blocks(left: np.ndarray, right: np.ndarray, below: float):
-    """Yield (s, left[s:t] @ right[:, s:]) for row blocks s:t of _CHUNK_ROWS rows.
-
-    Block entry (r, c) is pair (s + r, s + c); the diagonal and lower triangle
-    are set to below. All blocks share one _CHUNK_ROWS x n buffer, so memory
-    is O(n) and a block is valid only until the next one is yielded.
-    """
-    n = len(left)
-    lower = np.tri(_CHUNK_ROWS, dtype=bool)  # diagonal and below
-    buf = np.empty(min(_CHUNK_ROWS, n) * n)
-    for s in range(0, n, _CHUNK_ROWS):
-        t = min(s + _CHUNK_ROWS, n)
-        # a contiguous view, so that matmul writes into buf without a temporary
-        blk = buf[: (t - s) * (n - s)].reshape(t - s, n - s)
-        np.matmul(left[s:t], right[:, s:], out=blk)
-        np.copyto(blk[:, : t - s], below, where=lower[: t - s, : t - s])
-        yield s, blk
-
-
 def _abs_double_sum(points: np.ndarray) -> float:
     """sum over all ordered pairs (i, j) of |V_ij|, in O(n) memory.
 
     With the factors of tetra_volume_matrix, 6 V = A B^T. V_ij = V_ji
     (swapping the two edges is an even permutation of the tetra's four
-    points) and V_ii = 0, so the sum is twice the sum over i < j: the
-    _upper_blocks of A B^T, with the diagonal and lower triangle zeroed,
-    made absolute in place and summed one block at a time.
+    points) and V_ii = 0, so the sum is twice the sum over i < j: row
+    blocks s:t of _CHUNK_ROWS rows of A B^T, each written into one shared
+    _CHUNK_ROWS x n buffer as A[s:t] B^T[:, s:], its diagonal and lower
+    triangle zeroed, made absolute in place and summed.
 
     The block layout and the pairwise combination tree of _tree_sum depend
     only on n, so the bits do not depend on the BLAS thread count.
     """
     n = len(points)
     a, bt = _tetra_factors(points, np.arange(n), np.arange(n))
-    parts = [float(np.abs(blk, out=blk).sum()) for _, blk in _upper_blocks(a, bt, 0.0)]
+    lower = np.tri(_CHUNK_ROWS, dtype=bool)  # diagonal and below
+    buf = np.empty(min(_CHUNK_ROWS, n) * n)
+    parts = []
+    for s in range(0, n, _CHUNK_ROWS):
+        t = min(s + _CHUNK_ROWS, n)
+        # a contiguous view, so that matmul writes into buf without a temporary
+        blk = buf[: (t - s) * (n - s)].reshape(t - s, n - s)
+        np.matmul(a[s:t], bt[:, s:], out=blk)  # entry (r, c) is pair (s + r, s + c)
+        np.copyto(blk[:, : t - s], 0.0, where=lower[: t - s, : t - s])
+        parts.append(float(np.abs(blk, out=blk).sum()))
     return 2.0 * _tree_sum(parts) / 6.0
 
 
@@ -263,16 +256,29 @@ def estimate_covering_multiplicity(curve: SampledCurve, point) -> int:
 
     Only pairs that pass an exact angular screen are tested. p in the
     tetrahedron lies on a segment from edge i to edge j, so the angle
-    between q_i and -q_j is at most 2 theta, theta the widest angle an edge
-    subtends from p: u_i . u_j <= -cos 2 theta = 1 - 2 cos^2 theta (plus
-    _SCREEN_SLACK), u_k = q_k / |q_k| (0 where p is sample k). With cos
-    theta clipped at 0 the bound reaches 1 + slack, passing every pair, when
-    2 theta >= pi or p is a sample. The screen decides only which pairs are
-    tested, so the count does not depend on BLAS.
+    phi_ij between q_i and q_j is at least pi - 2 theta, theta the widest
+    angle an edge subtends from p: u_i . u_j <= -cos 2 theta =
+    1 - 2 cos^2 theta (plus _SCREEN_SLACK) = bound, u_k = q_k / |q_k| (0
+    where p is sample k). With cos theta clipped at 0 the bound reaches
+    1 + slack, passing every pair, when 2 theta >= pi or p is a sample.
 
-    The screened pairs are gathered across _upper_blocks and their face
-    signs tested in one pass once n of them are held, so memory stays O(n)
-    when every pair passes.
+    The screen is applied to blocks of _SCREEN_BLOCK consecutive samples
+    before it is applied to pairs. Block R's cone has the normalised mean
+    of its u_k as axis and half-angle rho_R = arccos(min u_k . axis) +
+    _CONE_SLACK, which covers arccos's rounding near 1 (the last block is
+    padded with its own last sample, which leaves its cone as it is). For
+    i in R and j in C, with alpha_RC the angle between the two axes, the
+    spherical triangle inequality gives phi_ij <= alpha_RC + rho_R + rho_C,
+    so cos phi_ij >= cos(min(pi, alpha_RC + rho_R + rho_C)). When that
+    exceeds the bound, no pair of the two blocks passes, and the block pair
+    is skipped; the cone test drops no pair that the bound keeps, so the
+    count does not change. (A zero axis, an exactly cancelling block, reads
+    alpha = rho = pi/2 and is never skipped.) Only the block pairs R <= C
+    that remain get their exact u_i . u_j tile, in batches of about
+    n / _SCREEN_BLOCK block pairs, so memory stays O(n), and each batch's
+    pairs (i < j, not adjacent) that pass the bound have their face signs
+    tested in one pass. The screen decides only which pairs are tested, so
+    the count does not depend on BLAS.
     """
     points = curve.points
     p = as_point_array(np.reshape(point, (1, 3)))[0]
@@ -281,7 +287,6 @@ def estimate_covering_multiplicity(curve: SampledCurve, point) -> int:
     d = np.linalg.norm(q, axis=1)
     q1, d1 = np.roll(q, -1, axis=0), np.roll(d, -1)
     tiny = np.finfo(np.float64).tiny  # 0 / tiny = 0: a zero row, and cos 0, at a sample
-    ut = (q / np.maximum(d, tiny)[:, None]).T.copy()  # 3 x n, so column slices feed matmul
     cos_edge = float(np.min(_dot_rows(q, q1) / np.maximum(d * d1, tiny)))
     bound = 1.0 - 2.0 * max(cos_edge, 0.0) ** 2 + _SCREEN_SLACK
     c = np.cross(q, q1)
@@ -296,8 +301,7 @@ def estimate_covering_multiplicity(curve: SampledCurve, point) -> int:
             f[tie] = -_dot_rows(w, points[at] - points[et])
         return np.sign(f)
 
-    def count_inside(rows, cols):
-        i, j = np.concatenate(rows), np.concatenate(cols)
+    def count_inside(i, j):
         sign = face_sign(j, i + 1)
         # each face test keeps only the pairs still inside, so the later ones
         # see few pairs when the screen passes many
@@ -307,19 +311,26 @@ def estimate_covering_multiplicity(curve: SampledCurve, point) -> int:
         i, j, sign = i[hold], j[hold], sign[hold]
         return int(np.count_nonzero(face_sign(i, j) == -sign))
 
-    inside = gathered = 0
-    rows, cols = [], []
-    for s, blk in _upper_blocks(ut.T, ut, np.inf):
-        # 1-d nonzero: on a 2-d mask numpy's nonzero is about 10x slower
-        r, col = np.divmod(np.flatnonzero(blk <= bound), n - s)
-        keep = (col - r > 1) & (col - r < n - 1)  # j - i: not adjacent
-        rows.append(r[keep] + s)
-        cols.append(col[keep] + s)
-        gathered += len(rows[-1])
-        if gathered >= n:
-            inside += count_inside(rows, cols)
-            rows, cols, gathered = [], [], 0
-    return 2 * (inside + (count_inside(rows, cols) if rows else 0))
+    size = _SCREEN_BLOCK
+    blocks = -(-n // size)
+    u = (q / np.maximum(d, tiny)[:, None])[np.minimum(np.arange(blocks * size), n - 1)]
+    u = u.reshape(blocks, size, 3)
+    axis = u.sum(axis=1)
+    axis /= np.maximum(np.linalg.norm(axis, axis=1), tiny)[:, None]
+    cos_rho = (u @ axis[:, :, None]).min(axis=(1, 2))
+    rho = np.arccos(np.clip(cos_rho, -1.0, 1.0)) + _CONE_SLACK
+    alpha = np.arccos(np.clip(axis @ axis.T, -1.0, 1.0))
+    reach = np.cos(np.minimum(np.pi, alpha + rho[:, None] + rho))
+    rows, cols = np.nonzero(np.triu(reach <= bound))
+    inside, batch = 0, max(1, n // size)
+    for s in range(0, len(rows), batch):
+        br, bc = rows[s : s + batch], cols[s : s + batch]
+        tile = u[br] @ u[bc].transpose(0, 2, 1)  # entry (b, r, c): pair (i, j) below
+        b, r, col = np.unravel_index(np.flatnonzero(tile <= bound), tile.shape)
+        i, j = br[b] * size + r, bc[b] * size + col
+        keep = np.flatnonzero((j - i > 1) & (j - i < n - 1) & (j < n))  # not adjacent, not padding
+        inside += count_inside(i[keep], j[keep])
+    return 2 * inside
 
 
 def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, seed) -> tuple:
@@ -367,6 +378,12 @@ def planar_area_integral(curve: SampledCurve) -> float:
     the result does not depend on the plane's orientation in space. Raises
     NonPlanarCurveError when the loop leaves its best-fit plane.
     """
+    return _area_and_planarity(curve)[0]
+
+
+def _area_and_planarity(curve: SampledCurve) -> tuple:
+    """planar_area_integral's area and the planarity check it passed, so the
+    area command reports the one check it made."""
     flat = planarity_check(curve)
     if not flat.is_planar:
         raise NonPlanarCurveError(
@@ -376,4 +393,4 @@ def planar_area_integral(curve: SampledCurve) -> float:
         )
     r = curve.points - curve.points.mean(axis=0)  # from the centroid: a far loop keeps its digits
     s = np.cross(r, np.roll(r, -1, axis=0)).sum(axis=0)
-    return float(np.linalg.norm(s)) / 2.0
+    return float(np.linalg.norm(s)) / 2.0, flat

@@ -34,6 +34,7 @@ from curvehull import (
 from curvehull.hull import fan_tetrahedra
 from curvehull.quadrature import (
     _NUDGE,
+    _SCREEN_BLOCK,
     DEGENERACY_RTOL,
     _abs_double_sum,
 )
@@ -274,14 +275,26 @@ def test_points_outside_the_hull_count_zero():
 @example(name="saddle", n=700, seed=0, mode="origin")
 @example(name="saddle", n=64, seed=1, mode="near_sample")
 @example(name="baseball", n=64, seed=2, mode="near_edge")
+# the screen's blocks of samples: a loop shorter than one block, a last block
+# of one sample and padding, and an edge across the first block boundary
+@example(name="saddle", n=_SCREEN_BLOCK - 4, seed=3, mode="default")
+@example(name="saddle", n=_SCREEN_BLOCK - 4, seed=4, mode="near_sample")
+@example(name="saddle", n=4 * _SCREEN_BLOCK + 1, seed=5, mode="near_sample")
+@example(name="baseball", n=4 * _SCREEN_BLOCK + 1, seed=6, mode="default")
+@example(name="saddle", n=4 * _SCREEN_BLOCK + 1, seed=7, mode="block_edge")
+@example(name="baseball", n=300, seed=8, mode="block_edge")
+# the knotted trefoil buries samples, so some blocks have wide cones
+@example(name="trefoil", n=300, seed=9, mode="default")
+@example(name="trefoil", n=4 * _SCREEN_BLOCK + 1, seed=10, mode="near_sample")
 @settings(max_examples=60, deadline=None)
 def test_tetra_count_matches_barycentric_reference(name, n, seed, mode):
     # near_edge puts the probe inside the ball on one edge as diameter, so the
     # edge subtends 2 theta >= pi and every pair is tested; near_sample puts it
-    # one edge length from a sample, where the screen passes most pairs
+    # one edge length from a sample, where the screen passes most pairs;
+    # block_edge is near_edge on the edge from the first block to the second
     sc, mesh = _probe_curve(name, n)
     rng = np.random.default_rng(seed)
-    k = rng.integers(n)
+    k = _SCREEN_BLOCK - 1 if mode == "block_edge" else rng.integers(n)
     inward = sc.points.mean(axis=0) - sc.points[k]
     inward /= np.linalg.norm(inward)
     h = sc.total_length / n
@@ -289,7 +302,7 @@ def test_tetra_count_matches_barycentric_reference(name, n, seed, mode):
         p = np.zeros(3)  # chords through it end at the samples nearest it
     elif mode == "near_sample":
         p = sc.points[k] + h * inward
-    elif mode == "near_edge":
+    elif mode in ("near_edge", "block_edge"):
         p = (sc.points[k] + sc.points[(k + 1) % n]) / 2 + 0.25 * h * inward
         q = sc.points[[k, (k + 1) % n]] - p
         assert q[0] @ q[1] < 0
