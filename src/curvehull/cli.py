@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--verify", action="store_true", help="cross-check against the hull oracle")
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=_at_least(1, "thread count"), default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("area", help="enclosed area of a planar curve")
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"k-th point, k = 1, 2, 4, 8, 16, in rows of at least {MIN_STRIDE_POINTS} points",
     )
     p.add_argument("--force", action="store_true", help="skip the vertex-count gate")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=_at_least(1, "thread count"), default=1, help=_THREADS_HELP)
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")
     p.set_defaults(func=cmd_converge)
 
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--probes", type=_at_least(1, "probe count"), default=100, help="random interior probes"
     )
     p.add_argument("--seed", type=_at_least(0, "seed"), default=42, help="probe RNG seed (PCG64)")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=_at_least(1, "thread count"), default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("export-mesh", help="write the hull mesh as an OBJ file")

@@ -9,8 +9,9 @@ chord from sample i to sample j, and edge j, and 4 is the paper's covering
 multiplicity of the chord map, proved for convex loops with exactly four
 torsion sign changes. The same V_ij signs classify adjacent chord pairs as
 interior or boundary, and counting the edge-pair tetrahedra that hold a
-probe point measures the multiplicity there exactly; covering_histogram
-draws such probes from the hull's own tetrahedron fan.
+probe point measures the multiplicity there exactly, at one point or at a
+batch of points in one pass; covering_histogram draws such probes from the
+hull's own tetrahedron fan and counts them all in one call.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ _CHUNK_ROWS = 128         # row block size of the double sum
 _SCREEN_SLACK = 1e-9      # rounding allowance of the angular tetrahedron screen
 _SCREEN_BLOCK = 24        # consecutive samples per cone of the screen
 _CONE_SLACK = 1e-6        # rad: arccos rounding allowance of a block's cone
+_PROBE_ROWS = 1 << 13     # probe-sample rows per chunk of the batched probe count
 _FACE_RTOL = 8 * np.finfo(np.float64).eps  # face-sign rounding bound vs |q_e||q_e+1||q_a|
 _NUDGE = np.array([1.0, np.sqrt(2.0), np.pi])  # generic direction D that breaks face ties
 
@@ -229,19 +231,24 @@ def classify_pairs(curve: SampledCurve, rows, cols) -> np.ndarray:
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row dot products in one fixed order, so equal rows give equal bits."""
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    """Dot products along the last axis in one fixed order, so equal rows give equal bits."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def estimate_covering_multiplicity(curve: SampledCurve, point) -> int:
+def estimate_covering_multiplicity(curve: SampledCurve, point) -> int | np.ndarray:
     """Covering multiplicity at a point: the ordered non-adjacent edge pairs
     (i, j) whose tetrahedron conv(r_i, r_{i+1}, r_j, r_{j+1}) holds it.
 
     The tetrahedron of edges i and j is the family of chords between them,
     so this counts the chords through the point, each in both orders: a
     doubly covered point gives 4, and a point outside the hull gives 0. The
-    count is exact and needs O(n) extra memory. Raises ValueError unless
-    point is one finite 3-vector.
+    count is exact. point is one finite 3-vector, and the count an int; or
+    an (m, 3) array of them, and the counts an int64 array of length m, as
+    hull.signed_distance takes its points. Anything else raises ValueError.
+    The probes are counted in chunks of about _PROBE_ROWS probe-sample rows
+    (one probe per chunk above n = _PROBE_ROWS / 2), so memory is O(n)
+    whatever m, and each probe is counted as if alone: its bound, cones and
+    face signs are its own.
 
     With q_k = r_k - p and C_e = q_e x q_{e+1}, the face of edge e and apex
     a has F(e, a) = [q_e, q_{e+1}, q_a] = q_a . C_e, and the kernel's
@@ -274,63 +281,85 @@ def estimate_covering_multiplicity(curve: SampledCurve, point) -> int:
     is skipped; the cone test drops no pair that the bound keeps, so the
     count does not change. (A zero axis, an exactly cancelling block, reads
     alpha = rho = pi/2 and is never skipped.) Only the block pairs R <= C
-    that remain get their exact u_i . u_j tile, in batches of about
-    n / _SCREEN_BLOCK block pairs, so memory stays O(n), and each batch's
-    pairs (i < j, not adjacent) that pass the bound have their face signs
-    tested in one pass. The screen decides only which pairs are tested, so
-    the count does not depend on BLAS.
+    that remain, of every probe of a chunk, get their exact u_i . u_j tile,
+    in batches of about n / _SCREEN_BLOCK block pairs, so memory stays
+    O(n), and each batch's pairs (i < j, not adjacent) that pass their
+    probe's bound have their face signs tested in one pass. The screen
+    decides only which pairs are tested, so the count does not depend on
+    BLAS.
     """
-    points = curve.points
-    p = as_point_array(np.reshape(point, (1, 3)))[0]
-    n = len(points)
-    q = points - p
-    d = np.linalg.norm(q, axis=1)
-    q1, d1 = np.roll(q, -1, axis=0), np.roll(d, -1)
+    single = np.ndim(point) == 1
+    probes = as_point_array(np.asarray(point)[None] if single else point)
+    n = len(curve.points)
+    chunk = max(1, _PROBE_ROWS // n)
+    counts = np.empty(len(probes), dtype=np.int64)
+    for s in range(0, len(probes), chunk):
+        counts[s : s + chunk] = _count_chunk(curve.points, probes[s : s + chunk])
+    return int(counts[0]) if single else counts
+
+
+def _count_chunk(points: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """estimate_covering_multiplicity's counts at the m probes p, all at once.
+
+    Each probe's rows q_k = r_k - p run over the n samples and a copy of
+    sample 0, so that k + 1 needs no wrap; row k of probe b is flat row
+    b (n + 1) + k of the (m (n + 1), 3) arrays the face tests gather from.
+    """
+    n, m = len(points), len(p)
+    ring = points[np.arange(n + 1) % n]  # row n repeats row 0
+    q = ring - p[:, None]
+    d = np.linalg.norm(q, axis=-1)
+    q1, d1 = np.roll(q, -1, axis=1), np.roll(d, -1, axis=1)  # row n's is unused
     tiny = np.finfo(np.float64).tiny  # 0 / tiny = 0: a zero row, and cos 0, at a sample
-    cos_edge = float(np.min(_dot_rows(q, q1) / np.maximum(d * d1, tiny)))
-    bound = 1.0 - 2.0 * max(cos_edge, 0.0) ** 2 + _SCREEN_SLACK
-    c = np.cross(q, q1)
-    tol = _FACE_RTOL * d * d1
+    cos_edge = np.min((_dot_rows(q, q1) / np.maximum(d * d1, tiny))[:, :n], axis=1)
+    bound = 1.0 - 2.0 * np.maximum(cos_edge, 0.0) ** 2 + _SCREEN_SLACK
+    c = np.cross(q, q1).reshape(-1, 3)
+    tol = (_FACE_RTOL * d * d1).ravel()
+    size = _SCREEN_BLOCK
+    blocks = -(-n // size)
+    pad = np.minimum(np.arange(blocks * size), n - 1)  # the last block repeats its last sample
+    u = (q / np.maximum(d, tiny)[..., None])[:, pad].reshape(m, blocks, size, 3)
+    q, d = q.reshape(-1, 3), d.ravel()
 
     def face_sign(e, a):
         f = _dot_rows(c[e], q[a])
-        tie = np.where(np.abs(f) <= tol[e] * d[a])[0]
+        tie = np.flatnonzero(np.abs(f) <= tol[e] * d[a])
         if len(tie):
-            et, at = e[tie], a[tie]
-            w = np.cross(_NUDGE, points[(et + 1) % n] - points[et])  # D x E_e
-            f[tie] = -_dot_rows(w, points[at] - points[et])
+            et, at = e[tie] % (n + 1), a[tie] % (n + 1)
+            w = np.cross(_NUDGE, ring[et + 1] - ring[et])  # D x E_e
+            f[tie] = -_dot_rows(w, ring[at] - ring[et])
         return np.sign(f)
 
-    def count_inside(i, j):
+    def probes_inside(i, j):
         sign = face_sign(j, i + 1)
         # each face test keeps only the pairs still inside, so the later ones
         # see few pairs when the screen passes many
         hold = np.flatnonzero((sign != 0) & (face_sign(j, i) == -sign))
         i, j, sign = i[hold], j[hold], sign[hold]
-        hold = np.flatnonzero(face_sign(i, (j + 1) % n) == sign)
+        hold = np.flatnonzero(face_sign(i, j + 1) == sign)
         i, j, sign = i[hold], j[hold], sign[hold]
-        return int(np.count_nonzero(face_sign(i, j) == -sign))
+        return i[face_sign(i, j) == -sign] // (n + 1)
 
-    size = _SCREEN_BLOCK
-    blocks = -(-n // size)
-    u = (q / np.maximum(d, tiny)[:, None])[np.minimum(np.arange(blocks * size), n - 1)]
-    u = u.reshape(blocks, size, 3)
-    axis = u.sum(axis=1)
-    axis /= np.maximum(np.linalg.norm(axis, axis=1), tiny)[:, None]
-    cos_rho = (u @ axis[:, :, None]).min(axis=(1, 2))
+    axis = u.sum(axis=2)
+    axis /= np.maximum(np.linalg.norm(axis, axis=-1), tiny)[..., None]
+    cos_rho = _dot_rows(u, axis[:, :, None]).min(axis=2)
     rho = np.arccos(np.clip(cos_rho, -1.0, 1.0)) + _CONE_SLACK
-    alpha = np.arccos(np.clip(axis @ axis.T, -1.0, 1.0))
-    reach = np.cos(np.minimum(np.pi, alpha + rho[:, None] + rho))
-    rows, cols = np.nonzero(np.triu(reach <= bound))
-    inside, batch = 0, max(1, n // size)
+    rows, cols = np.triu_indices(blocks)  # the block pairs R <= C
+    alpha = np.arccos(np.clip((axis @ axis.transpose(0, 2, 1))[:, rows, cols], -1.0, 1.0))
+    reach = np.cos(np.minimum(np.pi, alpha + rho[:, rows] + rho[:, cols]))
+    probe, pair = np.nonzero(reach <= bound[:, None])
+    rows, cols = rows[pair], cols[pair]
+    inside, batch = [np.zeros(0, dtype=np.intp)], max(1, n // size)
     for s in range(0, len(rows), batch):
-        br, bc = rows[s : s + batch], cols[s : s + batch]
-        tile = u[br] @ u[bc].transpose(0, 2, 1)  # entry (b, r, c): pair (i, j) below
-        b, r, col = np.unravel_index(np.flatnonzero(tile <= bound), tile.shape)
-        i, j = br[b] * size + r, bc[b] * size + col
-        keep = np.flatnonzero((j - i > 1) & (j - i < n - 1) & (j < n))  # not adjacent, not padding
-        inside += count_inside(i[keep], j[keep])
-    return 2 * inside
+        bp, br, bc = probe[s : s + batch], rows[s : s + batch], cols[s : s + batch]
+        passed = u[bp, br] @ u[bp, bc].transpose(0, 2, 1) <= bound[bp, None, None]
+        b, r, col = np.nonzero(passed)  # entry (b, r, col) of the tile: the pair (i, j) below
+        row = bp * (n + 1)  # the flat row of each block pair's probe's sample 0
+        i, j = (row + br * size)[b] + r, (row + bc * size)[b] + col
+        # not adjacent, and j not padding
+        keep = (j - i > 1) & (j - i < n - 1) & (col < (n - bc * size)[b])
+        inside.append(probes_inside(i[keep], j[keep]))
+    return 2 * np.bincount(np.concatenate(inside), minlength=m)
 
 
 def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, seed) -> tuple:
@@ -342,8 +371,9 @@ def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, s
     Scaling it by PROBE_SCALE about the apex keeps it 1 - PROBE_SCALE of the
     apex's depth inside, away from the samples, beside which the angular
     screen of the count passes most pairs. No draw is rejected. Returns
-    ({m: count} in ascending m, counters), m from
-    estimate_covering_multiplicity (0 where no tetrahedron holds the probe);
+    ({m: count} in ascending m, counters), the m from one
+    estimate_covering_multiplicity call over all the probes (0 where no
+    tetrahedron holds the probe);
     of the counters, evaluated equals requested, and rejected_outside,
     rejected_near_boundary and chord_failures are 0, kept because
     perfbench/run.py reads them.
@@ -353,10 +383,8 @@ def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, s
     pick = rng.choice(len(six_volumes), size=probes, p=six_volumes / six_volumes.sum())
     weights = rng.dirichlet(np.ones(4), size=probes)  # column 0 weighs the apex
     offsets = sum(weights[:, k + 1, None] * corner[pick] for k, corner in enumerate(corners))
-    histogram = {}
-    for p in apex + PROBE_SCALE * offsets:
-        m = estimate_covering_multiplicity(curve, p)
-        histogram[m] = histogram.get(m, 0) + 1
+    counts = estimate_covering_multiplicity(curve, apex + PROBE_SCALE * offsets)
+    ms, tally = np.unique(counts, return_counts=True)
     counters = {
         "requested": probes,
         "evaluated": probes,
@@ -364,7 +392,7 @@ def covering_histogram(curve: SampledCurve, mesh: _hull.HullMesh, probes: int, s
         "rejected_near_boundary": 0,
         "chord_failures": 0,
     }
-    return dict(sorted(histogram.items())), counters
+    return dict(zip(ms.tolist(), tally.tolist())), counters
 
 
 # ----------------------------------------------------------------------------

@@ -760,6 +760,24 @@ def test_diagnose_seed_below_zero_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("volume", "saddle", "--n", "200", "--threads", "-3"),
+        ("converge", "saddle", "--ns", "200", "--threads", "0"),
+        ("diagnose", "saddle", "--n", "200", "--probes", "2", "--threads", "abc"),
+    ],
+    ids=["volume", "converge", "diagnose"],
+)
+def test_threads_below_one_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--threads: thread count must be an integer >= 1, got {argv[-1]!r}" in err
+
+
+@pytest.mark.parametrize(
     "spec, n, uncovered", [("saddle", 500, 0), ("wobble:k=3", 400, 7)], ids=["saddle", "wobble3"]
 )
 def test_covering_histogram_is_what_diagnose_reports(spec, n, uncovered, capsys):

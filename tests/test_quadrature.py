@@ -34,6 +34,7 @@ from curvehull import (
 from curvehull.hull import fan_tetrahedra
 from curvehull.quadrature import (
     _NUDGE,
+    _PROBE_ROWS,
     _SCREEN_BLOCK,
     DEGENERACY_RTOL,
     _abs_double_sum,
@@ -231,6 +232,21 @@ def test_multiplicity_rejects_a_point_that_is_not_one_finite_3_vector(saddle_200
             estimate_covering_multiplicity(saddle_2000, point)
 
 
+def test_multiplicity_takes_one_point_or_an_array_of_them(saddle_2000):
+    # one 3-vector gives an int, an (m, 3) array the m counts, as
+    # signed_distance takes its points
+    one = estimate_covering_multiplicity(saddle_2000, np.zeros(3))
+    assert type(one) is int and one == 4
+    many = estimate_covering_multiplicity(saddle_2000, [(0, 0, 0), (5, 5, 5), (0, 0, 0)])
+    assert many.dtype == np.int64 and many.tolist() == [4, 0, 4]
+    assert estimate_covering_multiplicity(saddle_2000, [(0, 0, 0)]).tolist() == [4]
+    none = estimate_covering_multiplicity(saddle_2000, np.zeros((0, 3)))
+    assert none.dtype == np.int64 and none.shape == (0,)
+    for point in [np.zeros((2, 2)), [(0.0, 0.0, 0.0), (0.0, np.inf, 0.0)], np.zeros((1, 1, 3))]:
+        with pytest.raises(ValueError):
+            estimate_covering_multiplicity(saddle_2000, point)
+
+
 def barycentric_count(points, p):
     """Reference: ordered non-adjacent edge pairs whose tetrahedron holds p,
     by barycentric coordinates from np.linalg.solve, and the smallest
@@ -374,6 +390,45 @@ def test_mean_count_is_the_double_sum_over_the_hull(name):
         assert predicted == pytest.approx(4.0, rel=1e-12)
 
 
+def _mixed_probes(sc, mesh, seed):
+    """Probes of every kind the count treats apart: fan draws, samples,
+    points 1e-6 h from a sample, points near an edge (the edge across the
+    first block boundary among them) and points outside the hull."""
+    r, n = sc.points, sc.n
+    rng = np.random.default_rng(seed)
+    h = sc.total_length / n
+    inward = r.mean(axis=0) - r
+    inward /= np.linalg.norm(inward, axis=1)[:, None]
+    apex, corners, six_volumes = fan_tetrahedra(mesh)
+    pick = rng.choice(len(six_volumes), size=24, p=six_volumes / six_volumes.sum())
+    weights = rng.dirichlet(np.ones(4), size=24)
+    fan = apex + sum(weights[:, k + 1, None] * c[pick] for k, c in enumerate(corners))
+    k = rng.choice(n, size=8, replace=False)
+    edges = np.append(rng.choice(n, size=6), [min(_SCREEN_BLOCK - 1, n - 2), n - 1])
+    near_edge = (r[edges] + r[(edges + 1) % n]) / 2 + 0.25 * h * inward[edges]
+    facets = rng.choice(mesh.n_facets, size=8)
+    outside = r[mesh.facets[facets]].mean(axis=1) + 1e-6 * mesh.normals[facets]
+    probes = np.concatenate(
+        [fan, r[k[:4]], r[k[4:]] + 1e-6 * h * inward[k[4:]], near_edge, outside, [[0, 0, 0]]]
+    )
+    return probes[rng.permutation(len(probes))]
+
+
+@pytest.mark.parametrize(
+    "name, n, chunks",
+    [("saddle", 20, 1), ("baseball", 4 * _SCREEN_BLOCK + 1, 1), ("wobble:k=3", 400, 3)],
+)
+def test_array_count_is_the_count_of_each_point(name, n, chunks):
+    # the probes of a chunk are counted together, each with its own bound,
+    # cones and face signs, so grouping them changes no count
+    sc, mesh = _probe_curve(name, n)
+    probes = _mixed_probes(sc, mesh, n)
+    assert -(-len(probes) // (_PROBE_ROWS // n)) == chunks
+    counts = estimate_covering_multiplicity(sc, probes)
+    assert counts.tolist() == [estimate_covering_multiplicity(sc, p) for p in probes]
+    assert set(counts.tolist()) >= {0, 4}
+
+
 def test_count_memory_grows_linearly_in_n():
     # on a sample q_k = 0, so every pair passes the screen: gathering them
     # all would grow the peak 4x from n to 2n, testing a block at a time 2x
@@ -387,6 +442,22 @@ def test_count_memory_grows_linearly_in_n():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 3 * peaks[0]
+
+
+def test_histogram_memory_does_not_grow_with_the_probe_count():
+    # the probes are counted a chunk at a time, so 8x the probes is not 8x
+    # the temporaries
+    sc, mesh = _probe_curve("saddle", 1000)
+    peaks = []
+    for probes in (50, 400):
+        tracemalloc.start()
+        try:
+            histogram, _ = covering_histogram(sc, mesh, probes, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sum(histogram.values()) == probes
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_lifted_circle_gets_every_probe():
@@ -414,8 +485,9 @@ def test_probes_clear_the_boundary_by_a_share_of_the_apex_depth(name, seed, monk
     drawn = []
 
     def record(curve, point):
-        drawn.append(point)
-        return 4
+        assert np.shape(point) == (200, 3)  # one call with every probe
+        drawn.extend(point)
+        return np.full(len(point), 4)
 
     monkeypatch.setattr("curvehull.quadrature.estimate_covering_multiplicity", record)
     histogram, counters = covering_histogram(sc, mesh, 200, seed)
