@@ -37,7 +37,10 @@ from .curves import (
 from .errors import GateError
 from .quadrature import MIN_STRIDE_POINTS, discrete_vertex_report, hull_volume
 
-ORACLE_SAMPLES = 10_000    # --verify and converge oracle size; even, as it also hulls every other
+# --verify and converge oracle size. It also hulls every other sample, and a
+# multiple of 8 shares its residue mod 4 with its half, as the Richardson
+# extrapolation of a symmetric curve needs (hull.richardson_volume)
+ORACLE_SAMPLES = 10_000
 DEFAULT_NS = "125,250,500,1000,2000"  # converge's sample counts for a gallery curve
 FILE_STRIDES = (16, 8, 4, 2, 1)  # converge's rows for a file: every k-th of its points
 _THREADS_HELP = "accepted for compatibility; changes neither the result nor the work"

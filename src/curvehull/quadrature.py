@@ -11,7 +11,11 @@ torsion sign changes. The same V_ij signs classify adjacent chord pairs as
 interior or boundary, and counting the edge-pair tetrahedra that hold a
 probe point measures the multiplicity there exactly, at one point or at a
 batch of points in one pass; covering_histogram draws such probes from the
-hull's own tetrahedron fan and counts them all in one call.
+hull's own tetrahedron fan and counts them all in one call. The count
+screens the pairs by angles seen from the probe: a ball about each block of
+consecutive edges bounds the block's cone, so the block pairs cost
+O(blocks^2) per probe, and only the edges of the block pairs kept get their
+own angles and the exact face tests.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ PROBE_SCALE = 0.85        # probes shrink toward the fan apex, clearing the boun
 MIN_STRIDE_POINTS = 16    # fewest points a stride loop keeps: vertex count and converge rows
 _CHUNK_ROWS = 128         # row block size of the double sum
 _SCREEN_SLACK = 1e-9      # rounding allowance of the angular tetrahedron screen
-_SCREEN_BLOCK = 24        # consecutive samples per cone of the screen
-_CONE_SLACK = 1e-6        # rad: arccos rounding allowance of a block's cone
+_SCREEN_BLOCK = 16        # consecutive edges per ball of the screen
+_CONE_SLACK = 1e-6        # rad: arcsin rounding allowance of a block's cone
 _PROBE_ROWS = 1 << 13     # probe-sample rows per chunk of the batched probe count
 _FACE_RTOL = 8 * np.finfo(np.float64).eps  # face-sign rounding bound vs |q_e||q_e+1||q_a|
 _NUDGE = np.array([1.0, np.sqrt(2.0), np.pi])  # generic direction D that breaks face ties
@@ -247,8 +251,8 @@ def estimate_covering_multiplicity(curve: SampledCurve, point) -> int | np.ndarr
     hull.signed_distance takes its points. Anything else raises ValueError.
     The probes are counted in chunks of about _PROBE_ROWS probe-sample rows
     (one probe per chunk above n = _PROBE_ROWS / 2), so memory is O(n)
-    whatever m, and each probe is counted as if alone: its bound, cones and
-    face signs are its own.
+    whatever m, and each probe is counted as if alone: its screen and face
+    signs are its own.
 
     With q_k = r_k - p and C_e = q_e x q_{e+1}, the face of edge e and apex
     a has F(e, a) = [q_e, q_{e+1}, q_a] = q_a . C_e, and the kernel's
@@ -261,104 +265,161 @@ def estimate_covering_multiplicity(curve: SampledCurve, point) -> int | np.ndarr
     the two tetrahedra that share a face see p on the same side of it, and
     a point on a face or chord counts as if nudged by eps D.
 
-    Only pairs that pass an exact angular screen are tested. p in the
-    tetrahedron lies on a segment from edge i to edge j, so the angle
-    phi_ij between q_i and q_j is at least pi - 2 theta, theta the widest
-    angle an edge subtends from p: u_i . u_j <= -cos 2 theta =
-    1 - 2 cos^2 theta (plus _SCREEN_SLACK) = bound, u_k = q_k / |q_k| (0
-    where p is sample k). With cos theta clipped at 0 the bound reaches
-    1 + slack, passing every pair, when 2 theta >= pi or p is a sample.
+    Only pairs that pass an exact angular screen get face tests. p in the
+    tetrahedron lies on a segment from a point a of edge i to a point b of
+    edge j, so a - p and b - p point in opposite directions, and the angle
+    phi_ij between q_i and q_j is at least pi - theta_i - theta_j, theta_e
+    the angle edge e subtends from p. Every test below has the form
+    angle >= pi - x - x', with x + x' < pi, and is read as one dot product:
+    [w, -sin x, cos x] . [w', sin x', cos x'] = cos angle + cos(x + x')
+    <= _SCREEN_SLACK, w and w' unit directions. A side with x >= pi/2 is a
+    zero row, which passes whatever the other.
 
-    The screen is applied to blocks of _SCREEN_BLOCK consecutive samples
-    before it is applied to pairs. Block R's cone has the normalised mean
-    of its u_k as axis and half-angle rho_R = arccos(min u_k . axis) +
-    _CONE_SLACK, which covers arccos's rounding near 1 (the last block is
-    padded with its own last sample, which leaves its cone as it is). For
-    i in R and j in C, with alpha_RC the angle between the two axes, the
-    spherical triangle inequality gives phi_ij <= alpha_RC + rho_R + rho_C,
-    so cos phi_ij >= cos(min(pi, alpha_RC + rho_R + rho_C)). When that
-    exceeds the bound, no pair of the two blocks passes, and the block pair
-    is skipped; the cone test drops no pair that the bound keeps, so the
-    count does not change. (A zero axis, an exactly cancelling block, reads
-    alpha = rho = pi/2 and is never skipped.) Only the block pairs R <= C
-    that remain, of every probe of a chunk, get their exact u_i . u_j tile,
-    in batches of about n / _SCREEN_BLOCK block pairs, so memory stays
-    O(n), and each batch's pairs (i < j, not adjacent) that pass their
-    probe's bound have their face signs tested in one pass. The screen
-    decides only which pairs are tested, so the count does not depend on
-    BLAS.
+    The screen works on blocks of _SCREEN_BLOCK consecutive edges, each held
+    by a ball about the mean of its endpoints (radius r_R, inflated by
+    _SCREEN_SLACK against rounding), built once per call by _block_balls.
+    Seen from p at distance D > r_R from its center c_R, the ball, and so
+    every point of the block's edges, lies in the cone of axis
+    a_R = (c_R - p) / D and half-angle rho_R = arcsin(r_R / D), to which
+    _CONE_SLACK adds arcsin's rounding near 1. A ball that reaches p screens
+    nothing: rho_R = pi. As a lies in ball R and b in ball C, the angle
+    alpha_RC between the axes is at least pi - rho_R - rho_C: only the block
+    pairs R <= C that pass this are kept. That is O(blocks^2) per probe and
+    the only work on every block; no step is O(n) per probe.
+
+    Only the blocks of a kept block pair get their q_k, u_k = q_k / |q_k|
+    (0 where p is sample k) and per-edge angles theta_e; an edge with
+    theta_e >= pi/2 (p in the ball on it as diameter, on it, or at its end)
+    passes every pair it is in. On a kept block pair, edge i of R must pass
+    angle(u_i, a_C) >= pi - theta_i - rho_C, as u_i is within theta_i of
+    a - p; edge j of C the same against R; and then the pair itself
+    u_i . u_j <= -cos(theta_i + theta_j) + _SCREEN_SLACK. Only the few
+    widest edges pass broadly: a probe on a sample sends about 2n pairs to
+    the face tests, not n^2 / 2. The block pairs are tested in batches of
+    _PROBE_ROWS / _SCREEN_BLOCK, so memory stays O(_PROBE_ROWS
+    _SCREEN_BLOCK) per batch. The screen drops no pair that the face tests
+    count (at a tie, by the same argument at p + eps D), and decides only
+    which pairs are tested, so the count depends neither on it nor on BLAS.
     """
     single = np.ndim(point) == 1
     probes = as_point_array(np.asarray(point)[None] if single else point)
     n = len(curve.points)
+    balls = _block_balls(curve.points)
     chunk = max(1, _PROBE_ROWS // n)
     counts = np.empty(len(probes), dtype=np.int64)
     for s in range(0, len(probes), chunk):
-        counts[s : s + chunk] = _count_chunk(curve.points, probes[s : s + chunk])
+        counts[s : s + chunk] = _count_chunk(balls, probes[s : s + chunk])
     return int(counts[0]) if single else counts
 
 
-def _count_chunk(points: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _block_balls(points: np.ndarray) -> tuple:
+    """The screen's blocks of _SCREEN_BLOCK consecutive edges: (ring, ends,
+    center, radius). ring is the samples and a copy of sample 0, so that
+    edge k runs from ring[k] to ring[k + 1]; ends[R] are the ring indices of
+    block R's edge endpoints (a short last block repeats its last endpoint,
+    adding edges of length 0); center and radius are each block's ball,
+    which holds the endpoints and so every point of the block's edges."""
+    n, size = len(points), _SCREEN_BLOCK
+    ring = points[np.arange(n + 1) % n]
+    ends = np.minimum(np.arange(0, n, size)[:, None] + np.arange(size + 1), n)
+    r = ring[ends]
+    center = r.mean(axis=1)
+    radius = np.linalg.norm(r - center[:, None], axis=-1).max(axis=1) * (1.0 + _SCREEN_SLACK)
+    return ring, ends, center, radius
+
+
+def _angle_rows(u: np.ndarray, cos_a: np.ndarray, sin_a: np.ndarray) -> tuple:
+    """Rows [u, -sin a, cos a] and [u, sin a, cos a], so that a row of the one
+    dotted with a row of the other is u . u' + cos(a + a'); rows with
+    cos a <= 0 are zero, so that every product with them is 0."""
+    left = np.concatenate([u, -sin_a[..., None], cos_a[..., None]], axis=-1)
+    left[cos_a <= 0] = 0.0
+    return left, left * [1.0, 1.0, 1.0, -1.0, 1.0]
+
+
+def _nonzero(mask: np.ndarray) -> tuple:
+    """np.nonzero(mask), which is several times slower on a sparse 3-d mask."""
+    return np.unravel_index(np.flatnonzero(mask), mask.shape)
+
+
+def _count_chunk(balls: tuple, p: np.ndarray) -> np.ndarray:
     """estimate_covering_multiplicity's counts at the m probes p, all at once.
 
-    Each probe's rows q_k = r_k - p run over the n samples and a copy of
-    sample 0, so that k + 1 needs no wrap; row k of probe b is flat row
-    b (n + 1) + k of the (m (n + 1), 3) arrays the face tests gather from.
+    The block screen runs on every (probe, block pair R <= C). Each
+    (probe, block) that a kept pair touches gets a row t of q, u and the
+    edge angles, with one entry k per endpoint; the face tests gather from
+    the flat point rows t (size + 1) + k.
     """
-    n, m = len(points), len(p)
-    ring = points[np.arange(n + 1) % n]  # row n repeats row 0
-    q = ring - p[:, None]
-    d = np.linalg.norm(q, axis=-1)
-    q1, d1 = np.roll(q, -1, axis=1), np.roll(d, -1, axis=1)  # row n's is unused
-    tiny = np.finfo(np.float64).tiny  # 0 / tiny = 0: a zero row, and cos 0, at a sample
-    cos_edge = np.min((_dot_rows(q, q1) / np.maximum(d * d1, tiny))[:, :n], axis=1)
-    bound = 1.0 - 2.0 * np.maximum(cos_edge, 0.0) ** 2 + _SCREEN_SLACK
-    c = np.cross(q, q1).reshape(-1, 3)
-    tol = (_FACE_RTOL * d * d1).ravel()
-    size = _SCREEN_BLOCK
-    blocks = -(-n // size)
-    pad = np.minimum(np.arange(blocks * size), n - 1)  # the last block repeats its last sample
-    u = (q / np.maximum(d, tiny)[..., None])[:, pad].reshape(m, blocks, size, 3)
-    q, d = q.reshape(-1, 3), d.ravel()
+    ring, ends, center, radius = balls
+    n, m, blocks, size = len(ring) - 1, len(p), len(ends), _SCREEN_BLOCK
+    tiny = np.finfo(np.float64).tiny  # 0 / tiny = 0: a zero row at a sample or a ball's center
+    axis = center - p[:, None]
+    dist = np.linalg.norm(axis, axis=-1)
+    axis /= np.maximum(dist, tiny)[..., None]
+    with np.errstate(all="ignore"):  # read only where the ball does not reach p
+        rho = np.where(dist > radius, np.arcsin(radius / dist) + _CONE_SLACK, np.pi)
+    block_left, block_right = _angle_rows(axis, np.cos(rho), np.sin(rho))
+    upper = ~np.tri(blocks, k=-1, dtype=bool)  # the block pairs R <= C
+    near = block_left @ block_right.transpose(0, 2, 1) <= _SCREEN_SLACK
+    probe, first, second = _nonzero(near & upper)
 
-    def face_sign(e, a):
-        f = _dot_rows(c[e], q[a])
-        tie = np.flatnonzero(np.abs(f) <= tol[e] * d[a])
+    touched = np.zeros((m, blocks), dtype=bool)
+    touched[probe, first] = touched[probe, second] = True
+    owner, block = _nonzero(touched)
+    slot = np.cumsum(touched.ravel()) - 1  # entry b blocks + R: the row t of (b, R)
+    row1, row2 = slot[probe * blocks + first], slot[probe * blocks + second]
+    sample = ends[block]
+    q = ring[sample] - p[owner, None]
+    d = np.linalg.norm(q, axis=-1)
+    u = q / np.maximum(d, tiny)[..., None]
+    cos_e = _dot_rows(u[:, :-1], u[:, 1:])
+    chord = np.diff(u, axis=1)  # |u_{e+1} - u_e| = 2 sin(theta_e / 2), accurate for small theta_e
+    chord2 = _dot_rows(chord, chord)
+    sin_e = np.sqrt(np.maximum(chord2 * (1.0 - 0.25 * chord2), 0.0))
+    left, right = _angle_rows(u[:, :-1], cos_e, sin_e)
+    sample, q, d = sample.ravel(), q.reshape(-1, 3), d.ravel()
+
+    def face_sign(c, tol, e, a):
+        """Signs of the faces (e, a), given C_e and the rounding bound of each."""
+        f = _dot_rows(c, q[a])
+        tie = np.flatnonzero(np.abs(f) <= tol * d[a])
         if len(tie):
-            et, at = e[tie] % (n + 1), a[tie] % (n + 1)
+            et, at = sample[e[tie]], sample[a[tie]]
             w = np.cross(_NUDGE, ring[et + 1] - ring[et])  # D x E_e
             f[tie] = -_dot_rows(w, ring[at] - ring[et])
         return np.sign(f)
 
-    def probes_inside(i, j):
-        sign = face_sign(j, i + 1)
+    def edge(e):
+        """C_e and _FACE_RTOL |q_e| |q_{e+1}| of the edges from point rows e."""
+        return np.cross(q[e], q[e + 1]), _FACE_RTOL * d[e] * d[e + 1]
+
+    def probes_inside(b, i, j):
+        c, tol = edge(j)
+        sign = face_sign(c, tol, j, i + 1)
         # each face test keeps only the pairs still inside, so the later ones
         # see few pairs when the screen passes many
-        hold = np.flatnonzero((sign != 0) & (face_sign(j, i) == -sign))
-        i, j, sign = i[hold], j[hold], sign[hold]
-        hold = np.flatnonzero(face_sign(i, j + 1) == sign)
-        i, j, sign = i[hold], j[hold], sign[hold]
-        return i[face_sign(i, j) == -sign] // (n + 1)
+        hold = np.flatnonzero((sign != 0) & (face_sign(c, tol, j, i) == -sign))
+        b, i, j, sign = b[hold], i[hold], j[hold], sign[hold]
+        c, tol = edge(i)
+        hold = np.flatnonzero(face_sign(c, tol, i, j + 1) == sign)
+        b, i, j, sign, c, tol = b[hold], i[hold], j[hold], sign[hold], c[hold], tol[hold]
+        return b[face_sign(c, tol, i, j) == -sign]
 
-    axis = u.sum(axis=2)
-    axis /= np.maximum(np.linalg.norm(axis, axis=-1), tiny)[..., None]
-    cos_rho = _dot_rows(u, axis[:, :, None]).min(axis=2)
-    rho = np.arccos(np.clip(cos_rho, -1.0, 1.0)) + _CONE_SLACK
-    rows, cols = np.triu_indices(blocks)  # the block pairs R <= C
-    alpha = np.arccos(np.clip((axis @ axis.transpose(0, 2, 1))[:, rows, cols], -1.0, 1.0))
-    reach = np.cos(np.minimum(np.pi, alpha + rho[:, rows] + rho[:, cols]))
-    probe, pair = np.nonzero(reach <= bound[:, None])
-    rows, cols = rows[pair], cols[pair]
-    inside, batch = [np.zeros(0, dtype=np.intp)], max(1, n // size)
-    for s in range(0, len(rows), batch):
-        bp, br, bc = probe[s : s + batch], rows[s : s + batch], cols[s : s + batch]
-        passed = u[bp, br] @ u[bp, bc].transpose(0, 2, 1) <= bound[bp, None, None]
-        b, r, col = np.nonzero(passed)  # entry (b, r, col) of the tile: the pair (i, j) below
-        row = bp * (n + 1)  # the flat row of each block pair's probe's sample 0
-        i, j = (row + br * size)[b] + r, (row + bc * size)[b] + col
-        # not adjacent, and j not padding
-        keep = (j - i > 1) & (j - i < n - 1) & (col < (n - bc * size)[b])
-        inside.append(probes_inside(i[keep], j[keep]))
+    inside, batch = [np.zeros(0, dtype=np.intp)], max(1, _PROBE_ROWS // size)
+    for s in range(0, len(probe), batch):
+        b, br, bc = probe[s : s + batch], first[s : s + batch], second[s : s + batch]
+        t1, t2 = row1[s : s + batch], row2[s : s + batch]
+        # each edge of R against C's cone and each edge of C against R's, then
+        # the pairs (i, j) that pass both against each other
+        fit_i = left[t1] @ block_right[b, bc, :, None] <= _SCREEN_SLACK
+        fit_j = block_left[b, br, None] @ right[t2].transpose(0, 2, 1) <= _SCREEN_SLACK
+        k, ki, kj = _nonzero(fit_i & fit_j)  # edges i = br size + ki, j = bc size + kj
+        i, j = br[k] * size + ki, bc[k] * size + kj
+        keep = (j - i > 1) & (j - i < n - 1) & (j < n)  # not adjacent, and j not padding
+        k, ki, kj = k[keep], ki[keep], kj[keep]
+        keep = np.einsum("ij,ij->i", left[t1[k], ki], right[t2[k], kj]) <= _SCREEN_SLACK
+        k, ki, kj = k[keep], ki[keep], kj[keep]
+        inside.append(probes_inside(b[k], t1[k] * (size + 1) + ki, t2[k] * (size + 1) + kj))
     return 2 * np.bincount(np.concatenate(inside), minlength=m)
 
 

@@ -451,6 +451,15 @@ def test_richardson_volume_cancels_the_hull_error_of_order_n_squared():
         richardson_volume(pts[:-1])
 
 
+def test_the_oracle_sample_count_and_its_half_agree_mod_4():
+    # a symmetric curve's hull error c_n / n^2 has a c_n that repeats with
+    # n mod 2 or n mod 4, so the extrapolation from n and n / 2 samples
+    # cancels it only when n = 0 (mod 8)
+    from curvehull.cli import ORACLE_SAMPLES
+
+    assert ORACLE_SAMPLES % 8 == 0
+
+
 def test_centroid_is_inside_every_hull():
     clouds = [
         unit_cube_points(),

@@ -291,8 +291,8 @@ def test_points_outside_the_hull_count_zero():
 @example(name="saddle", n=700, seed=0, mode="origin")
 @example(name="saddle", n=64, seed=1, mode="near_sample")
 @example(name="baseball", n=64, seed=2, mode="near_edge")
-# the screen's blocks of samples: a loop shorter than one block, a last block
-# of one sample and padding, and an edge across the first block boundary
+# the screen's blocks of edges: a loop shorter than one block, a last block
+# of one edge and padding, and an edge across the first block boundary
 @example(name="saddle", n=_SCREEN_BLOCK - 4, seed=3, mode="default")
 @example(name="saddle", n=_SCREEN_BLOCK - 4, seed=4, mode="near_sample")
 @example(name="saddle", n=4 * _SCREEN_BLOCK + 1, seed=5, mode="near_sample")
@@ -302,15 +302,24 @@ def test_points_outside_the_hull_count_zero():
 # the knotted trefoil buries samples, so some blocks have wide cones
 @example(name="trefoil", n=300, seed=9, mode="default")
 @example(name="trefoil", n=4 * _SCREEN_BLOCK + 1, seed=10, mode="near_sample")
+# a probe inside a block's ball, which screens no pair of that block out
+@example(name="saddle", n=4 * _SCREEN_BLOCK + 1, seed=11, mode="ball_center")
+@example(name="baseball", n=300, seed=12, mode="ball_center")
+@example(name="trefoil", n=300, seed=13, mode="ball_center")
+# a probe on the edge across a block boundary, up to 1e-5 of an edge length
+@example(name="saddle", n=4 * _SCREEN_BLOCK + 1, seed=14, mode="on_block_edge")
+@example(name="baseball", n=300, seed=15, mode="on_block_edge")
 @settings(max_examples=60, deadline=None)
 def test_tetra_count_matches_barycentric_reference(name, n, seed, mode):
     # near_edge puts the probe inside the ball on one edge as diameter, so the
-    # edge subtends 2 theta >= pi and every pair is tested; near_sample puts it
-    # one edge length from a sample, where the screen passes most pairs;
-    # block_edge is near_edge on the edge from the first block to the second
+    # edge subtends theta >= pi / 2 and every pair with it is tested;
+    # near_sample puts it one edge length from a sample, where the screen
+    # passes most pairs; block_edge and on_block_edge are near_edge on the
+    # edge from the first block to the second, on_block_edge 1e-5 h from it;
+    # ball_center is the center of the second block's ball
     sc, mesh = _probe_curve(name, n)
     rng = np.random.default_rng(seed)
-    k = _SCREEN_BLOCK - 1 if mode == "block_edge" else rng.integers(n)
+    k = _SCREEN_BLOCK - 1 if mode in ("block_edge", "on_block_edge") else rng.integers(n)
     inward = sc.points.mean(axis=0) - sc.points[k]
     inward /= np.linalg.norm(inward)
     h = sc.total_length / n
@@ -318,8 +327,11 @@ def test_tetra_count_matches_barycentric_reference(name, n, seed, mode):
         p = np.zeros(3)  # chords through it end at the samples nearest it
     elif mode == "near_sample":
         p = sc.points[k] + h * inward
-    elif mode in ("near_edge", "block_edge"):
-        p = (sc.points[k] + sc.points[(k + 1) % n]) / 2 + 0.25 * h * inward
+    elif mode == "ball_center":
+        p = sc.points[_SCREEN_BLOCK : 2 * _SCREEN_BLOCK + 1].mean(axis=0)
+    elif mode in ("near_edge", "block_edge", "on_block_edge"):
+        off = 1e-5 if mode == "on_block_edge" else 0.25
+        p = (sc.points[k] + sc.points[(k + 1) % n]) / 2 + off * h * inward
         q = sc.points[[k, (k + 1) % n]] - p
         assert q[0] @ q[1] < 0
     else:
@@ -416,17 +428,41 @@ def _mixed_probes(sc, mesh, seed):
 
 @pytest.mark.parametrize(
     "name, n, chunks",
-    [("saddle", 20, 1), ("baseball", 4 * _SCREEN_BLOCK + 1, 1), ("wobble:k=3", 400, 3)],
+    [("saddle", 20, 1), ("baseball", 6 * _SCREEN_BLOCK + 1, 1), ("wobble:k=3", 400, 3)],
 )
 def test_array_count_is_the_count_of_each_point(name, n, chunks):
-    # the probes of a chunk are counted together, each with its own bound,
-    # cones and face signs, so grouping them changes no count
+    # the probes of a chunk are counted together, each with its own screen
+    # and face signs, so grouping them changes no count
     sc, mesh = _probe_curve(name, n)
     probes = _mixed_probes(sc, mesh, n)
     assert -(-len(probes) // (_PROBE_ROWS // n)) == chunks
     counts = estimate_covering_multiplicity(sc, probes)
     assert counts.tolist() == [estimate_covering_multiplicity(sc, p) for p in probes]
     assert set(counts.tolist()) >= {0, 4}
+
+
+@pytest.mark.parametrize("name", ["saddle", "trefoil"])
+def test_a_probe_on_a_sample_sends_o_n_pairs_to_the_face_tests(name, monkeypatch):
+    # at sample k, q_k = 0: the two edges through it pass every pair they are
+    # in, about 2n pairs, and every other pair is screened by its own edge
+    # angles; a screen by the widest edge alone would pass all n^2 / 2.
+    # The face tests read F = C_e . q_a with _dot_rows on (pairs, 3) rows
+    from curvehull import quadrature
+
+    dot_rows, tested = quadrature._dot_rows, {}
+
+    def record(a, b):
+        if np.ndim(a) == 2:
+            tested[n] += len(a)
+        return dot_rows(a, b)
+
+    monkeypatch.setattr(quadrature, "_dot_rows", record)
+    for n in (1000, 2000):
+        sc = sample_uniform(gallery.get(name).curve, n)
+        tested[n] = 0
+        estimate_covering_multiplicity(sc, sc.points[n // 3])
+        assert 2 * (n - 3) <= tested[n] <= 12 * n
+    assert tested[2000] < 2.5 * tested[1000]
 
 
 def test_count_memory_grows_linearly_in_n():
